@@ -1,11 +1,6 @@
 """Index computation for positive primitive free-group automorphisms."""
 
-from .automorphism import (
-    Automorphism,
-    load_automorphism,
-    parse_automorphism,
-    validate,
-)
+from .automorphism import load_automorphism, parse_automorphism, validate
 from .config import RunConfig
 from .errors import (
     BudgetExceeded,
@@ -22,105 +17,28 @@ from .errors import (
     VerificationFailed,
 )
 from .families import cyclic_family
-from .gamma import all_matches, gamma, gamma_bound, match
-from .prefix_suffix import (
-    Development,
-    SymbolicPoint,
-    Triplet,
-    apply_phi_power_key,
-    complete_for_anchor,
-    desubstitute,
-    loops,
-    minimal_phi_power,
-    periodic_point,
-    periodic_seeds,
-    point_fixed_by,
-    points_equal,
-    recompose,
-    shift_dev,
-    two_factors,
-)
-from .sgraph import (
-    attracting_reps,
-    build_graph,
-    components,
-    fixed_basis,
-    fo_index,
-    to_dot,
-)
-from .singularities import (
-    Label,
-    Singularity,
-    SweepResult,
-    approx_classes,
-    find_all,
-    fixing_power,
-    h_classes,
-    merge,
-    singularity_from_match,
-    untwisted_half_count,
-)
-from .words import Alphabet, EPSILON, concat, invert
+from .singularities import find_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
-    "Automorphism",
     "BudgetExceeded",
     "CapExceeded",
-    "Development",
-    "EPSILON",
     "EmptyInput",
     "FgIndexError",
     "FormulaMismatch",
     "InvariantViolation",
-    "Label",
     "NotInverse",
     "NotPositive",
     "NotPrimitive",
     "ParseError",
     "RunConfig",
-    "Singularity",
-    "SweepResult",
-    "SymbolicPoint",
-    "Triplet",
     "UndefinedShift",
     "VerificationFailed",
-    "all_matches",
-    "apply_phi_power_key",
-    "approx_classes",
-    "attracting_reps",
-    "build_graph",
-    "complete_for_anchor",
-    "components",
-    "concat",
     "cyclic_family",
-    "desubstitute",
     "find_all",
-    "fixed_basis",
-    "fixing_power",
-    "fo_index",
-    "gamma",
-    "gamma_bound",
-    "h_classes",
-    "invert",
     "load_automorphism",
-    "loops",
-    "match",
-    "merge",
-    "minimal_phi_power",
     "parse_automorphism",
-    "periodic_point",
-    "periodic_seeds",
-    "point_fixed_by",
-    "points_equal",
-    "recompose",
-    "shift_dev",
-    "singularity_from_match",
-    "to_dot",
-    "two_factors",
-    "untwisted_half_count",
     "validate",
     "__version__",
 ]

@@ -39,7 +39,6 @@ class Automorphism:
         self._len_cache = {1: tuple(len(w) for w in self.images)}
         self._occ_cache = {1: self.incidence}
         self._ray_cache = {}
-        self.point_key_cache = {}
         self.two_factor_cache = None
         self.gamma_bound_cache = {}
 
@@ -102,34 +101,37 @@ class Automorphism:
 
     # -- arithmetic on counts, no materialization ----------------------------
 
+    # Both count tables fill missing levels upward from the highest cached
+    # one in a loop, so a deep first request cannot exhaust the stack.
+
     def image_lengths(self, k):
         """Tuple of |phi^k(a)| over positive letters, exact integers."""
-        got = self._len_cache.get(k)
-        if got is not None:
-            return got
-        prev = self.image_lengths(k - 1)
-        cur = tuple(
-            sum(prev[x - 1] for x in self.images[a]) for a in range(self.rank)
-        )
-        self._len_cache[k] = cur
-        return cur
+        cache = self._len_cache
+        if k not in cache:
+            for i in range(max(i for i in cache if i < k) + 1, k + 1):
+                prev = cache[i - 1]
+                cache[i] = tuple(
+                    sum(prev[x - 1] for x in self.images[a])
+                    for a in range(self.rank)
+                )
+        return cache[k]
 
     def occurrence_matrix(self, k):
         """occ[a-1][b-1] = occurrences of a in phi^k(b)."""
-        got = self._occ_cache.get(k)
-        if got is not None:
-            return got
-        prev = self.occurrence_matrix(k - 1)
+        cache = self._occ_cache
         base = self.incidence
         n = self.rank
-        cur = tuple(
-            tuple(
-                sum(prev[a][c] * base[c][b] for c in range(n)) for b in range(n)
-            )
-            for a in range(n)
-        )
-        self._occ_cache[k] = cur
-        return cur
+        if k not in cache:
+            for i in range(max(i for i in cache if i < k) + 1, k + 1):
+                prev = cache[i - 1]
+                cache[i] = tuple(
+                    tuple(
+                        sum(prev[a][c] * base[c][b] for c in range(n))
+                        for b in range(n)
+                    )
+                    for a in range(n)
+                )
+        return cache[k]
 
     def word_image_length(self, u, k):
         """|phi^k(u)| for pure positive u, without materializing."""

@@ -180,8 +180,6 @@ def _config_from(args):
         max_k=args.max_k,
         early_exit=args.early_exit,
         budget=args.budget,
-        json_path=getattr(args, "json", None),
-        dot_path=getattr(args, "dot", None),
     )
 
 

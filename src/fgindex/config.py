@@ -7,7 +7,7 @@ stops early and reports itself incomplete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 
@@ -15,7 +15,7 @@ DEFAULT_BUDGET = 10**7
 MIN_BUDGET = 10**4
 
 # Fraction of the total budget a single level may plan to spend.  Levels whose
-# estimated cost exceeds this are processed in the cheap trivial-match-only
+# estimated cost exceeds this are processed in the cheap blank-affix-only
 # mode, which keeps default runs fast and deterministic.
 LEVEL_FRACTION = 16
 
@@ -38,9 +38,6 @@ class Budget:
                 f"letter budget exhausted ({self.used} > {self.limit})"
             )
 
-    def can_afford(self, n) -> bool:
-        return self.used + n <= self.limit
-
 
 @dataclass
 class RunConfig:
@@ -49,8 +46,6 @@ class RunConfig:
     max_k: int | None = None
     early_exit: bool = False
     budget: int = DEFAULT_BUDGET
-    json_path: str | None = None
-    dot_path: str | None = None
 
     def __post_init__(self):
         if self.max_k is not None and self.max_k < 1:

@@ -1,9 +1,10 @@
 """Rotation iteration on loop affixes and the bound that makes it terminate.
 
-gamma rotates one letter out of a pure positive word and substitutes its
-image back on the other end.  Two affixes that reach a common rotation value
-witness a pair of singular points; the cutoff indices computed here bound how
-far the iteration must be pushed before giving up, so the search is finite.
+The rotation gamma moves one letter out of a pure positive word and
+substitutes its image back on the other end; a Stream holds the orbit of one
+affix.  Two affixes that reach a common rotation value witness a pair of
+singular points; the cutoff indices computed here bound how far the
+iteration must be pushed before giving up, so the search is finite.
 """
 
 from __future__ import annotations
@@ -13,23 +14,13 @@ from collections import deque
 from .errors import CapExceeded, InvariantViolation
 from .words import EPSILON, invert, require_nonempty
 
-# Fixed hash parameters keep runs byte-for-byte reproducible.
-_B1, _M1 = 1_000_003, (1 << 61) - 1
-_B2, _M2 = 912_666_049, (1 << 31) - 1
+# Fixed hash parameters keep runs byte-for-byte reproducible.  A hash only
+# proposes a candidate pair; window_equal decides it.
+_B, _M = 1_000_003, (1 << 61) - 1
 
 # Safety valve for the cutoff search; the peel condition is always reached
 # long before this for a primitive map.
 _STAR_CAP = 10_000
-
-
-def gamma(phi, k, side, u, budget=None):
-    """One rotation step at level k on a pure positive word."""
-    require_nonempty(tuple(u), "rotation argument")
-    if side == "minus":
-        return phi.letter_image(u[-1], k, budget) + tuple(u[:-1])
-    if side == "plus":
-        return tuple(u[1:]) + phi.letter_image(u[0], k, budget)
-    raise ValueError(f"bad side {side!r}")
 
 
 class _SignTracker:
@@ -125,7 +116,7 @@ def gamma_bound(phi, k, side, budget=None):
 
 
 class Stream:
-    """Lazy rotation orbit of one affix, with O(1) window hashes.
+    """Lazy rotation orbit of one affix, with prefix hashes of its windows.
 
     Rotation always consumes at the front of the stored array and appends the
     substituted block at the back; the minus side stores words reversed so
@@ -143,19 +134,14 @@ class Stream:
         self.data = []
         self.lens = [len(word)]
         self._blocks = {}
-        self._h1 = [0]
-        self._h2 = [0]
-        self._p1 = [1]
-        self._p2 = [1]
+        self._h = [0]
         self._extend(word)
 
     def _extend(self, letters):
+        h = self._h
         for x in letters:
             self.data.append(x)
-            self._h1.append((self._h1[-1] * _B1 + x) % _M1)
-            self._h2.append((self._h2[-1] * _B2 + x) % _M2)
-            self._p1.append(self._p1[-1] * _B1 % _M1)
-            self._p2.append(self._p2[-1] * _B2 % _M2)
+            h.append((h[-1] * _B + x) % _M)
 
     def block(self, c):
         got = self._blocks.get(c)
@@ -186,10 +172,9 @@ class Stream:
             self._advance()
 
     def window_hash(self, i):
-        l, r = i, i + self.lens[i]
-        h1 = (self._h1[r] - self._h1[l] * self._p1[r - l]) % _M1
-        h2 = (self._h2[r] - self._h2[l] * self._p2[r - l]) % _M2
-        return (self.lens[i], h1, h2)
+        n = self.lens[i]
+        h = self._h
+        return (n, (h[i + n] - h[i] * pow(_B, n, _M)) % _M)
 
     def window_equal(self, i, other, j):
         if self.lens[i] != other.lens[j]:
@@ -250,25 +235,6 @@ def star_index(phi, k, side, stream, g, budget=None):
     raise CapExceeded("rotation never reached the peel condition")
 
 
-def cutoff_box(phi, k, side, sx, sy, g, budget=None):
-    """Cutoff pair (i0, j0): a common rotation value, if any exists, appears
-    at or before these indices on the respective streams."""
-    istar = star_index(phi, k, side, sx, g, budget)
-    jstar = star_index(phi, k, side, sy, g, budget)
-    lx = sx.lens[istar]
-    ly = sy.lens[jstar]
-    if lx > ly:
-        i0 = istar
-        j0 = _first_longer(sy, lx)
-    elif ly > lx:
-        i0 = _first_longer(sx, ly)
-        j0 = jstar
-    else:
-        i0 = _first_longer(sx, lx)
-        j0 = _first_longer(sy, ly)
-    return i0, j0
-
-
 def _first_longer(stream, bound):
     i = 0
     while True:
@@ -285,43 +251,6 @@ def _root_of(sx, m, sy, n):
         m -= 1
         n -= 1
     return m, n
-
-
-def match(phi, k, side, x, y, budget=None):
-    """Least (i, j) with the i-th rotation of x equal to the j-th of y,
-    with the conjugating word, or None.  Arguments are affix words."""
-    x = tuple(x)
-    y = tuple(y)
-    if x == y:
-        if x == EPSILON:
-            return (0, 0, EPSILON)
-        w = x if side == "minus" else invert(x)
-        return (0, 0, w)
-    if x == EPSILON or y == EPSILON:
-        return None
-    g = gamma_bound(phi, k, side, budget)
-    sx = Stream(phi, k, side, x, budget)
-    sy = Stream(phi, k, side, y, budget)
-    i0, j0 = cutoff_box(phi, k, side, sx, sy, g, budget)
-    sx.ensure_steps(i0)
-    sy.ensure_steps(j0)
-    by_hash = {}
-    for n in range(j0 + 1):
-        by_hash.setdefault(sy.window_hash(n), []).append(n)
-    for m in range(i0 + 1):
-        for n in by_hash.get(sx.window_hash(m), ()):
-            if budget is not None:
-                budget.charge(1)
-            if not sx.window_equal(m, sy, n):
-                continue
-            i, j = _root_of(sx, m, sy, n)
-            if i > i0 or j > j0:
-                raise InvariantViolation("match root escaped its cutoff box")
-            w = sx.word_at(i)
-            if side == "plus":
-                w = invert(w)
-            return (i, j, w)
-    return None
 
 
 def all_matches(phi, k, side, affixes, budget=None):
@@ -378,7 +307,7 @@ def all_matches(phi, k, side, affixes, budget=None):
         else:
             i0, j0 = _first_longer(sx, lx), _first_longer(sy, ly)
         if i > i0 or j > j0:
-            raise InvariantViolation("match root escaped its cutoff box")
+            raise InvariantViolation("common rotation root escaped its cutoff box")
         w = sx.word_at(i)
         if side == "plus":
             w = invert(w)

@@ -11,10 +11,9 @@ side of the development is blank.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from .errors import InvariantViolation, UndefinedShift
-from .words import EPSILON, Word, concat, invert
+from .words import EPSILON, Word, invert
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,22 +79,6 @@ def two_factors(phi):
     return phi.two_factor_cache
 
 
-def periodic_seeds(phi, k):
-    """Seed pairs (c, b): phi^k(c) ends with c, phi^k(b) starts with b,
-    and cb is an admissible factor.  Each pair pins one periodic point."""
-    tails = phi.cycle_letters("last")
-    heads = phi.cycle_letters("first")
-    admissible = two_factors(phi)
-    out = [
-        (c, b)
-        for c, lc in sorted(tails.items())
-        if k % lc == 0
-        for b, lb in sorted(heads.items())
-        if k % lb == 0 and (c, b) in admissible
-    ]
-    return tuple(out)
-
-
 def desubstitute(phi, t):
     """Refine a level-k triplet into its chain of k level-1 triplets.
 
@@ -130,20 +113,6 @@ def desubstitute(phi, t):
     return chain
 
 
-def recompose(phi, chain, budget=None):
-    """Inverse of desubstitute: collapse a level-1 chain to one triplet."""
-    k = len(chain)
-    p_parts = []
-    s_parts = []
-    for i in range(k - 1, -1, -1):
-        p_parts.append(phi.apply(chain[i].p, i, budget=budget))
-    for i in range(k):
-        s_parts.append(phi.apply(chain[i].s, i, budget=budget))
-    return Triplet(
-        concat(*p_parts), chain[0].a, concat(*s_parts), k, chain[-1].parent
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class Development:
     """Eventually periodic development at level 1: pre, then per repeating."""
@@ -155,16 +124,6 @@ class Development:
         if i < len(self.pre):
             return self.pre[i]
         return self.per[(i - len(self.pre)) % len(self.per)]
-
-    def side_classes(self):
-        """(True, True) iff the periodic part has blank p / blank s."""
-        all_p = all(t.p == EPSILON for t in self.per)
-        all_s = all(t.s == EPSILON for t in self.per)
-        return all_p, all_s
-
-    def is_generic(self):
-        all_p, all_s = self.side_classes()
-        return not all_p and not all_s
 
     def key(self):
         return (
@@ -281,10 +240,6 @@ class SymbolicPoint:
         self.seed = seed
         self._key = None
         self._dev = None
-
-    @property
-    def level(self):
-        return self.anchor.level if self.anchor is not None else 0
 
     def __repr__(self):
         body = self.anchor.body() if self.anchor is not None else None
@@ -427,11 +382,6 @@ class SymbolicPoint:
         return out
 
 
-def points_equal(pa, pb):
-    """Whether two symbolic points denote the same subshift point."""
-    return pa.key() == pb.key()
-
-
 def periodic_point(phi, c, b, n=0):
     """The point S^n of the periodic point seeded (c, b), with no anchor.
 
@@ -559,19 +509,3 @@ def point_fixed_by(phi, point, w, k, h, budget=None):
         return False
     _, v = point.expand(d, budget)
     return v[:d] == invert(wh)
-
-
-def minimal_phi_power(phi, point, cap=10**6):
-    """Smallest m >= 1 with the point fixed by m substitution steps."""
-    if point.kind() == "per":
-        c, b, n = point.per_data()
-        if n != 0:
-            return None
-        lc = phi.cycle_letters("last")[c]
-        lb = phi.cycle_letters("first")[b]
-        return math.lcm(lc, lb)
-    key = point.key()
-    for m in range(1, cap + 1):
-        if apply_phi_power_key(phi, key, m) == key:
-            return m
-    return None

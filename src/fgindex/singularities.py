@@ -76,12 +76,9 @@ def label_power_compatible(phi, la, lb, budget=None):
     return wa == wb
 
 
-def singularity_from_match(phi, k, side, tx, ty, m, budget=None):
-    """Points forced into a common class by a minimal affix match."""
-    return _from_match_groups(phi, k, side, [tx], [ty], m, budget)
-
-
 def _from_match_groups(phi, k, side, group_x, group_y, m, budget=None):
+    """Points forced into one class when loops with affix x and loops with
+    affix y first share a rotation value: m = (i, j, w) from all_matches."""
     i, j, w = m
     if side == "minus":
         dx, dy = -i, -j
@@ -148,17 +145,6 @@ def fixing_power(phi, sing, cap=512, budget=None):
             raise CapExceeded(f"no fixing power below cap for {p!r}")
     sing._fixing_power = total
     return total
-
-
-def h_classes(phi, sing):
-    """Count of ray germs at the class: distinct first letters per side."""
-    left = set()
-    right = set()
-    for p in sing.points.values():
-        u0, v0 = p.first_letters()
-        left.add(u0)
-        right.add(v0)
-    return len(left) + len(right)
 
 
 def approx_classes(phi, sing):
@@ -292,18 +278,15 @@ def _full_level(phi, k, registry, budget):
 def _doubled_index_now(phi, registry):
     from . import sgraph
 
-    valid = [s for s in registry if _is_genuine(phi, s)]
+    # Numbers the live classes in place: graph building reads idents but never
+    # mutates a class, and find_all numbers the final classes afterwards.
+    valid = [s for s in _sorted_registry(registry) if _is_genuine(phi, s)]
     if not valid:
         return 0
-    snapshot = []
-    for s in valid:
-        copy = Singularity(s.label, [])
-        copy.points.update(s.points)
-        snapshot.append(copy)
-    for ident, s in enumerate(_sorted_registry(snapshot)):
+    for ident, s in enumerate(valid):
         s.ident = ident
-    graph = sgraph.build_graph(phi, snapshot)
-    return sgraph.fo_index(phi, snapshot, graph)
+    graph = sgraph.build_graph(phi, valid)
+    return sgraph.fo_index(phi, valid, graph)
 
 
 def _sorted_registry(registry):
@@ -356,14 +339,14 @@ def find_all(phi, config):
             if r > 4 * phi.rank - 4:
                 raise InvariantViolation("development period exceeded its bound")
             max_rho = max(max_rho, r)
-    for ident, s in enumerate(final):
-        s.ident = ident
     complete = not partial_levels
     if not complete and _doubled_index_now(phi, registry) >= 2 * (phi.rank - 1):
         # The doubled index is capped by 2(N-1), and adding points or classes
         # to a maximal collection can only violate that cap, so a sweep that
         # attains it has nothing left to find.
         complete = True
+    for ident, s in enumerate(final):
+        s.ident = ident
     return SweepResult(
         singularities=final,
         complete=complete,

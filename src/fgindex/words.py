@@ -57,23 +57,6 @@ def purity(u) -> Purity:
     return Purity.MIXED
 
 
-def orientation_changes(u) -> int:
-    """Number of adjacent pairs with opposite signs."""
-    return sum(1 for i in range(len(u) - 1) if (u[i] > 0) != (u[i + 1] > 0))
-
-
-def cyclic_reduce(u):
-    """Split u = c * core * c^-1 with core cyclically reduced.
-
-    Returns (core, c).  The input must already be reduced.
-    """
-    lo, hi = 0, len(u)
-    while hi - lo >= 2 and u[lo] == -u[hi - 1]:
-        lo += 1
-        hi -= 1
-    return u[lo:hi], u[:lo]
-
-
 def letter_sort_key(x):
     # Positive letter before its inverse, generators in declaration order.
     return (abs(x) - 1, 0 if x > 0 else 1)

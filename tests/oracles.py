@@ -5,7 +5,10 @@ substituted letter by letter, scans instead of incremental state.  Keep it
 that way; these functions are the ground truth for the optimized paths.
 """
 
-from fgindex.words import EPSILON, invert
+import math
+
+from fgindex.prefix_suffix import Triplet, apply_phi_power_key, two_factors
+from fgindex.words import EPSILON, concat, invert
 
 
 def reduce_word(seq):
@@ -225,3 +228,49 @@ def periodic_pair_power(phi, c, b, cap=200):
         if tail_letter(phi, c, m) == c and head_letter(phi, b, m) == b:
             return m
     raise AssertionError("no common return within cap")
+
+
+def periodic_seeds(phi, k):
+    """Seed pairs (c, b): phi^k(c) ends with c, phi^k(b) starts with b,
+    and cb is an admissible factor.  Each pair pins one periodic point."""
+    tails = phi.cycle_letters("last")
+    heads = phi.cycle_letters("first")
+    admissible = two_factors(phi)
+    out = [
+        (c, b)
+        for c, lc in sorted(tails.items())
+        if k % lc == 0
+        for b, lb in sorted(heads.items())
+        if k % lb == 0 and (c, b) in admissible
+    ]
+    return tuple(out)
+
+
+def recompose(phi, chain, budget=None):
+    """Inverse of desubstitute: collapse a level-1 chain to one triplet."""
+    k = len(chain)
+    p_parts = []
+    s_parts = []
+    for i in range(k - 1, -1, -1):
+        p_parts.append(phi.apply(chain[i].p, i, budget=budget))
+    for i in range(k):
+        s_parts.append(phi.apply(chain[i].s, i, budget=budget))
+    return Triplet(
+        concat(*p_parts), chain[0].a, concat(*s_parts), k, chain[-1].parent
+    )
+
+
+def minimal_phi_power(phi, point, cap=10**6):
+    """Smallest m >= 1 with the point fixed by m substitution steps."""
+    if point.kind() == "per":
+        c, b, n = point.per_data()
+        if n != 0:
+            return None
+        lc = phi.cycle_letters("last")[c]
+        lb = phi.cycle_letters("first")[b]
+        return math.lcm(lc, lb)
+    key = point.key()
+    for m in range(1, cap + 1):
+        if apply_phi_power_key(phi, key, m) == key:
+            return m
+    return None

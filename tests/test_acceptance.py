@@ -14,7 +14,7 @@ from fgindex.automorphism import load_automorphism
 from fgindex.cli import analyze, index_fraction, report_dict
 from fgindex.config import RunConfig
 from fgindex.families import cyclic_family
-from fgindex.prefix_suffix import loops, minimal_phi_power
+from fgindex.prefix_suffix import loops
 from fgindex.singularities import (
     approx_classes,
     fixing_power,
@@ -90,7 +90,7 @@ def test_six_letter_example_has_pure_fixing_power_thirty():
     assert fixing_power(phi, s) == 6
     points = s.point_list()
     assert len(points) == 30
-    assert {minimal_phi_power(phi, p) for p in points} == {30}
+    assert {oracles.minimal_phi_power(phi, p) for p in points} == {30}
     assert s.label.k * fixing_power(phi, s) == 30
     # the sweep is capped at 10 of the full 20 levels, so it reports itself
     # truncated even though the class above is already exact.
@@ -110,7 +110,7 @@ def test_fourteen_letter_periodic_points_merge_at_power_seventy():
     # boundary-letter cycles of lengths 2, 5 and 7: the corresponding
     # periodic points are minimally fixed by those pure powers, and the
     # merged class is fixed exactly at their least common multiple.
-    mins = sorted(minimal_phi_power(phi, p) for p in points)
+    mins = sorted(oracles.minimal_phi_power(phi, p) for p in points)
     assert mins == [2, 2, 5, 5, 5, 5, 5, 7, 7, 7, 7, 7, 7, 7]
     assert lcm(*mins) == 70
     assert s.label.k * fixing_power(phi, s) == 70

@@ -2,6 +2,7 @@ import pytest
 
 from fgindex.automorphism import parse_automorphism, validate
 from fgindex.errors import NotInverse, NotPositive, NotPrimitive, ParseError
+from fgindex.families import cyclic_family
 from fgindex.words import invert
 
 import oracles
@@ -103,6 +104,16 @@ def test_occurrence_matrix_counts_letters(phi):
             image = oracles.apply_power(phi, (a,), k)
             for c in phi.alphabet.letters():
                 assert mat[c - 1][a - 1] == image.count(c)
+
+
+def test_deep_count_tables_on_a_fresh_map():
+    # Far more levels than the interpreter's recursion limit, requested first.
+    phi = cyclic_family(3)
+    lens = phi.image_lengths(5000)
+    prev = phi.image_lengths(4999)
+    assert lens == tuple(sum(prev[x - 1] for x in phi.images[a]) for a in range(3))
+    occ = phi.occurrence_matrix(3000)
+    assert tuple(sum(col) for col in zip(*occ)) == phi.image_lengths(3000)
 
 
 def test_word_image_length_adds_up(phi):

@@ -1,8 +1,11 @@
+import types
+
 import pytest
 
+import fgindex.gamma
 from fgindex.config import Budget
 from fgindex.errors import BudgetExceeded, EmptyInput
-from fgindex.gamma import Stream, all_matches, gamma, gamma_bound, match, star_index
+from fgindex.gamma import Stream, all_matches, gamma_bound, star_index
 from fgindex.prefix_suffix import loops
 from fgindex.words import EPSILON, invert
 
@@ -29,7 +32,22 @@ def affixes(phi, k, side):
     return sorted(picked)
 
 
+def pair_match(phi, k, side, x, y, budget=None):
+    """The joint matcher run on the single pair (x, y)."""
+    return all_matches(phi, k, side, [x, y], budget).get((0, 1))
+
+
+def test_gamma_submodule_is_not_shadowed():
+    assert isinstance(fgindex.gamma, types.ModuleType)
+
+
 # -- single rotation steps -------------------------------------------------------
+
+
+def first_rotation(phi, k, side, u):
+    stream = Stream(phi, k, side, u)
+    stream.ensure_steps(1)
+    return stream.word_at(1)
 
 
 def test_gamma_matches_oracle(phi):
@@ -37,7 +55,7 @@ def test_gamma_matches_oracle(phi):
         for side in SIDES:
             seeds = affixes(phi, k, side) + [(a,) for a in phi.alphabet.letters()]
             for u in seeds:
-                assert gamma(phi, k, side, u) == oracles.gamma_step(
+                assert first_rotation(phi, k, side, u) == oracles.gamma_step(
                     phi, k, side, u
                 )
 
@@ -46,18 +64,13 @@ def test_gamma_length_recurrence(phi):
     for side in SIDES:
         for u in affixes(phi, 2, side):
             eaten = u[-1] if side == "minus" else u[0]
-            out = gamma(phi, 2, side, u)
+            out = first_rotation(phi, 2, side, u)
             assert len(out) == len(u) - 1 + len(phi.letter_image(eaten, 2))
 
 
 def test_gamma_rejects_empty_words(fibonacci):
     with pytest.raises(EmptyInput):
-        gamma(fibonacci, 1, "minus", EPSILON)
-
-
-def test_gamma_rejects_unknown_side(fibonacci):
-    with pytest.raises(ValueError):
-        gamma(fibonacci, 1, "sideways", (1,))
+        Stream(fibonacci, 1, "minus", EPSILON)
 
 
 # -- streams ----------------------------------------------------------------------
@@ -87,6 +100,27 @@ def test_stream_hashes_separate_unequal_windows(rank4):
     for ha, wa in windows:
         for hb, wb in windows:
             assert (ha == hb) == (wa == wb)
+
+
+def test_hash_collisions_cannot_change_a_match(phi, monkeypatch):
+    # A hash hit only proposes a pair; window_equal decides it.  Modulus 7
+    # collides often, and modulus 1 makes every two windows of one length
+    # collide, so the join sees unequal candidates and must drop them.
+    cases = [(k, side, affixes(phi, k, side)) for k in (1, 2) for side in SIDES]
+    exact = [all_matches(phi, k, side, seeds) for k, side, seeds in cases]
+    for modulus in (7, 1):
+        monkeypatch.setattr(fgindex.gamma, "_M", modulus)
+        for (k, side, seeds), expected in zip(cases, exact):
+            assert all_matches(phi, k, side, seeds) == expected
+    by_hash = {}
+    for k, side, seeds in cases:
+        for u in seeds:
+            stream = Stream(phi, k, side, u)
+            stream.ensure_steps(6)
+            for i in range(7):
+                key = (k, side, stream.window_hash(i))
+                by_hash.setdefault(key, set()).add(stream.word_at(i))
+    assert any(len(words) > 1 for words in by_hash.values())
 
 
 def test_stream_window_equal_is_word_equality(rank3):
@@ -147,7 +181,7 @@ def test_match_agrees_with_grid_scan(phi):
             for xi in range(len(seeds)):
                 for yi in range(xi + 1, len(seeds)):
                     x, y = seeds[xi], seeds[yi]
-                    got = match(phi, k, side, x, y)
+                    got = pair_match(phi, k, side, x, y)
                     scanned = oracles.match_scan(phi, k, side, x, y)
                     if got is None:
                         assert scanned is None
@@ -166,7 +200,7 @@ def test_match_root_is_minimal_and_forward_invariant(phi):
         seeds = affixes(phi, 2, side)
         for xi in range(len(seeds)):
             for yi in range(xi + 1, len(seeds)):
-                got = match(phi, 2, side, seeds[xi], seeds[yi])
+                got = pair_match(phi, 2, side, seeds[xi], seeds[yi])
                 if got is None:
                     continue
                 i, j, _ = got
@@ -179,20 +213,6 @@ def test_match_root_is_minimal_and_forward_invariant(phi):
                     assert xs[i - 1] != ys[j - 1]
 
 
-def test_match_of_equal_affixes_is_immediate(rank4):
-    u = affixes(rank4, 1, "minus")[0]
-    assert match(rank4, 1, "minus", u, u) == (0, 0, u)
-    p = affixes(rank4, 1, "plus")[0]
-    assert match(rank4, 1, "plus", p, p) == (0, 0, invert(p))
-
-
-def test_match_with_blank_affixes(rank4):
-    u = affixes(rank4, 1, "minus")[0]
-    assert match(rank4, 1, "minus", EPSILON, EPSILON) == (0, 0, EPSILON)
-    assert match(rank4, 1, "minus", EPSILON, u) is None
-    assert match(rank4, 1, "minus", u, EPSILON) is None
-
-
 def test_all_matches_equals_pairwise_matching(phi):
     for k in (1, 2):
         for side in SIDES:
@@ -200,7 +220,7 @@ def test_all_matches_equals_pairwise_matching(phi):
             joint = all_matches(phi, k, side, seeds)
             for xi in range(len(seeds)):
                 for yi in range(xi + 1, len(seeds)):
-                    lone = match(phi, k, side, seeds[xi], seeds[yi])
+                    lone = pair_match(phi, k, side, seeds[xi], seeds[yi])
                     assert joint.get((xi, yi)) == lone
 
 
@@ -227,4 +247,4 @@ def test_matching_respects_the_letter_budget(rank4):
         budget = Budget(20)
         for xi in range(len(seeds)):
             for yi in range(xi + 1, len(seeds)):
-                match(rank4, 2, "minus", seeds[xi], seeds[yi], budget)
+                pair_match(rank4, 2, "minus", seeds[xi], seeds[yi], budget)

@@ -12,12 +12,8 @@ from fgindex.prefix_suffix import (
     desubstitute,
     loops,
     make_development,
-    minimal_phi_power,
     periodic_point,
-    periodic_seeds,
     point_fixed_by,
-    points_equal,
-    recompose,
     shift_dev,
     shift_key,
     two_factors,
@@ -115,12 +111,12 @@ def test_periodic_seeds_brute_force(phi):
             and k % heads[b] == 0
             and (c, b) in admissible
         )
-        assert sorted(periodic_seeds(phi, k)) == expected
+        assert sorted(oracles.periodic_seeds(phi, k)) == expected
 
 
 def test_periodic_seeds_fibonacci(fibonacci):
-    assert periodic_seeds(fibonacci, 1) == ()
-    assert periodic_seeds(fibonacci, 2) == ((1, 1), (2, 1))
+    assert oracles.periodic_seeds(fibonacci, 1) == ()
+    assert oracles.periodic_seeds(fibonacci, 2) == ((1, 1), (2, 1))
 
 
 # -- desubstitution ---------------------------------------------------------------
@@ -138,7 +134,7 @@ def test_desubstitute_recompose_round_trip(phi):
                 parent = chain[i + 1].a if i + 1 < k else chain[-1].parent
                 assert link.parent == parent
                 assert phi.images[parent - 1] == link.p + (link.a,) + link.s
-            assert recompose(phi, chain) == t
+            assert oracles.recompose(phi, chain) == t
 
 
 def test_recompose_matches_levelwise_images(rank4):
@@ -238,7 +234,7 @@ def test_expand_is_the_two_window_pair(phi):
 
 
 def test_periodic_point_windows_follow_the_rays(phi):
-    for c, b in periodic_seeds(phi, 30)[:4]:
+    for c, b in oracles.periodic_seeds(phi, 30)[:4]:
         point = periodic_point(phi, c, b)
         window = point.window(-10, 10)
         lc = phi.cycle_letters("last")[c]
@@ -254,7 +250,7 @@ def test_periodic_point_windows_follow_the_rays(phi):
 
 
 def test_shifted_periodic_window_is_a_slice(phi):
-    for c, b in periodic_seeds(phi, 30)[:2]:
+    for c, b in oracles.periodic_seeds(phi, 30)[:2]:
         base = periodic_point(phi, c, b)
         for n in (-4, -1, 1, 3):
             shifted = periodic_point(phi, c, b, n)
@@ -295,7 +291,7 @@ def test_same_point_from_different_anchors(fibonacci):
     anchored = complete_for_anchor(fibonacci, by_body[(EPSILON, 1, (2, 1))], 0)
     direct = [periodic_point(fibonacci, 1, 1), periodic_point(fibonacci, 2, 1)]
     for pa, pb in zip(anchored, direct):
-        assert points_equal(pa, pb)
+        assert pa.key() == pb.key()
         assert pa.window(-6, 6) == pb.window(-6, 6)
 
 
@@ -334,7 +330,7 @@ def test_apply_key_on_shifted_periodic_points(rank4):
 
 
 def test_apply_key_matches_window_arithmetic(phi):
-    for c, b in periodic_seeds(phi, 30)[:2]:
+    for c, b in oracles.periodic_seeds(phi, 30)[:2]:
         for n in (-4, -2, 2, 3):
             key = ("per", c, b, n)
             for m in (1, 2):
@@ -369,22 +365,22 @@ def test_fixedness_agrees_with_expanded_rays(rank3, rank4):
 
 
 def test_periodic_points_fixed_at_cycle_lcm(phi):
-    for c, b in periodic_seeds(phi, 30)[:3]:
+    for c, b in oracles.periodic_seeds(phi, 30)[:3]:
         point = periodic_point(phi, c, b)
-        m = minimal_phi_power(phi, point)
+        m = oracles.minimal_phi_power(phi, point)
         assert m == oracles.periodic_pair_power(phi, c, b)
         assert point_fixed_by(phi, point, EPSILON, m, 1)
         assert apply_phi_power_key(phi, point.key(), m) == point.key()
 
 
 def test_shifted_periodic_points_have_no_pure_power(phi):
-    for c, b in periodic_seeds(phi, 30)[:2]:
-        assert minimal_phi_power(phi, periodic_point(phi, c, b, 2)) is None
+    for c, b in oracles.periodic_seeds(phi, 30)[:2]:
+        assert oracles.minimal_phi_power(phi, periodic_point(phi, c, b, 2)) is None
 
 
 def test_minimal_power_fibonacci(fibonacci):
     point = periodic_point(fibonacci, 1, 1)
-    assert minimal_phi_power(fibonacci, point) == 2
+    assert oracles.minimal_phi_power(fibonacci, point) == 2
 
 
 # -- rendering ------------------------------------------------------------------------

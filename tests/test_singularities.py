@@ -2,19 +2,18 @@ import pytest
 
 from fgindex.config import RunConfig
 from fgindex.errors import InvariantViolation
-from fgindex.gamma import match
+from fgindex.gamma import all_matches
 from fgindex.prefix_suffix import loops, periodic_point, point_fixed_by
 from fgindex.singularities import (
     Label,
     Singularity,
     _check_disjoint,
+    _from_match_groups,
     approx_classes,
     find_all,
     fixing_power,
-    h_classes,
     label_power_compatible,
     merge,
-    singularity_from_match,
     untwisted_half_count,
 )
 from fgindex.words import EPSILON
@@ -79,9 +78,9 @@ def test_minus_match_anchors_shift_left(fibonacci):
     by_body = {(t.p, t.a, t.s): t for t in loops(fibonacci, 2)}
     tx = by_body[((1,), 2, ())]
     ty = by_body[((1, 2), 1, ())]
-    m = match(fibonacci, 2, "minus", tx.p, ty.p)
+    m = all_matches(fibonacci, 2, "minus", [tx.p, ty.p]).get((0, 1))
     assert m == (1, 1, (1, 2, 1))
-    sing = singularity_from_match(fibonacci, 2, "minus", tx, ty, m)
+    sing = _from_match_groups(fibonacci, 2, "minus", [tx], [ty], m)
     assert sing.label == Label((1, 2, 1), 2)
     assert sorted(sing.points) == [("per", 1, 1, -2), ("per", 2, 1, -2)]
 
@@ -90,9 +89,9 @@ def test_plus_match_anchors_shift_right(rank4):
     by_body = {(t.p, t.a, t.s): t for t in loops(rank4, 1)}
     tx = by_body[((1, 2, 4), 1, (3, 4))]
     ty = by_body[((1,), 3, (3, 4))]
-    m = match(rank4, 1, "plus", tx.s, ty.s)
+    m = all_matches(rank4, 1, "plus", [tx.s, ty.s]).get((0, 1))
     assert m == (0, 0, (-4, -3))
-    sing = singularity_from_match(rank4, 1, "plus", tx, ty, m)
+    sing = _from_match_groups(rank4, 1, "plus", [tx], [ty], m)
     assert sing.label == Label((-4, -3), 1)
     assert set(sing.points) == {
         ("dev", (((1, 2, 4, 1), 3, (4,)),), (((1, 2, 4), 1, (3, 4)),)),
@@ -241,7 +240,7 @@ def test_germ_and_class_counts_frozen(
     for analysis, expected in table:
         phi = analysis.phi
         got = [
-            (h_classes(phi, s), approx_classes(phi, s))
+            (len(analysis.graph.node_classes[s.ident]), approx_classes(phi, s))
             for s in analysis.result.singularities
         ]
         assert got == expected

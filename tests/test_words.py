@@ -7,11 +7,9 @@ from fgindex.words import (
     Alphabet,
     Purity,
     concat,
-    cyclic_reduce,
     invert,
     is_reduced,
     letter_sort_key,
-    orientation_changes,
     purity,
     word_sort_key,
 )
@@ -58,22 +56,6 @@ def test_purity_cases():
     assert purity((1, 2, 1)) is Purity.PURE_POSITIVE
     assert purity((-2, -1)) is Purity.PURE_NEGATIVE
     assert purity((1, -2)) is Purity.MIXED
-
-
-@given(reduced_words)
-def test_orientation_changes_counts_sign_flips(u):
-    expected = sum(
-        1 for a, b in zip(u, u[1:]) if (a > 0) != (b > 0)
-    )
-    assert orientation_changes(u) == expected
-
-
-@given(reduced_words)
-def test_cyclic_reduce_splits_off_a_conjugator(u):
-    core, c = cyclic_reduce(u)
-    if core:
-        assert core[0] != -core[-1]
-    assert concat(c, core, invert(c)) == u
 
 
 def test_letter_sort_key_orders_by_name_then_sign():
