@@ -9,7 +9,7 @@ iteration must be pushed before giving up, so the search is finite.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
 
 from .errors import CapExceeded, InvariantViolation
 from .words import EPSILON, invert, require_nonempty
@@ -22,36 +22,65 @@ _B, _M = 1_000_003, (1 << 61) - 1
 # long before this for a primitive map.
 _STAR_CAP = 10_000
 
+# The sign change a block starts with when it joins a word of the other sign.
+_JUNCTION = (0,)
 
-class _SignTracker:
-    """Reduced word in a deque plus an orientation-change counter."""
 
-    def __init__(self):
-        self.dq = deque()
-        self.changes = 0
+def _encode_block(seq, offset):
+    """String form of a reduced word for _push_block.
 
-    def _same_sign(self, x, y):
-        return (x > 0) == (y > 0)
+    Letter x becomes chr(offset + x), so with offset = rank + 1 a letter is
+    positive exactly when its character is above chr(offset).  Returns the
+    word, its inverse and the positions i where letters i-1 and i differ in
+    sign.
+    """
+    enc = "".join([chr(offset + x) for x in seq])
+    inv = "".join([chr(offset - x) for x in reversed(seq)])
+    flips = tuple(
+        i for i in range(1, len(seq)) if (seq[i - 1] > 0) != (seq[i] > 0)
+    )
+    return enc, inv, flips
 
-    def push_left(self, y):
-        if self.dq and self.dq[0] == -y:
-            old = self.dq.popleft()
-            if self.dq and not self._same_sign(old, self.dq[0]):
-                self.changes -= 1
-        else:
-            if self.dq and not self._same_sign(y, self.dq[0]):
-                self.changes += 1
-            self.dq.appendleft(y)
 
-    def push_right(self, y):
-        if self.dq and self.dq[-1] == -y:
-            old = self.dq.pop()
-            if self.dq and not self._same_sign(old, self.dq[-1]):
-                self.changes -= 1
-        else:
-            if self.dq and not self._same_sign(y, self.dq[-1]):
-                self.changes += 1
-            self.dq.append(y)
+def _push_block(w, chunks, block, zero):
+    """Freely reduce w . enc for an encoded block (enc, inv, flips).
+
+    w and enc are reduced, so exactly the longest c with w[-c:] == inv[-c:]
+    cancels; cancelling is prefix-closed, so c is found by bisection on slice
+    equality.  chunks holds the sign changes of w as (base, flips, lo, hi):
+    positions base + flips[j] for lo <= j < hi, increasing, no chunk empty.
+    It is updated in place; the reduced word is returned.
+    """
+    enc, inv, flips = block
+    n = min(len(w), len(enc))
+    if n and w[-n:] == inv[-n:]:
+        c = n
+    else:
+        lo, hi = 0, n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if w[-mid:] == inv[-mid:]:
+                lo = mid
+            else:
+                hi = mid
+        c = lo
+    m = len(w) - c
+    while chunks:
+        base, fl, lo, hi = chunks[-1]
+        if base + fl[hi - 1] < m:
+            break
+        cut = bisect_left(fl, m - base, lo, hi)
+        if cut > lo:
+            chunks[-1] = (base, fl, lo, cut)
+            break
+        chunks.pop()
+    if c < len(enc):
+        if m and (w[m - 1] > zero) != (enc[c] > zero):
+            chunks.append((m, _JUNCTION, 0, 1))
+        lo = bisect_right(flips, c)
+        if lo < len(flips):
+            chunks.append((m - c, flips, lo, len(flips)))
+    return w[:m] + enc[c:]
 
 
 def gamma_bound(phi, k, side, budget=None):
@@ -67,10 +96,16 @@ def gamma_bound(phi, k, side, budget=None):
         return cached
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
+    offset = phi.rank + 1
+    zero = chr(offset)
+    encoded = {}
     best = 0
     for a in phi.alphabet.letters():
         image = phi.letter_image(a, k, budget)
-        tracker = _SignTracker()
+        # The reduced preimage is kept with its open end last: reversed on
+        # the minus side, where blocks join on the left, in order on the plus.
+        w = ""
+        chunks = []
         if side == "minus":
             order = range(len(image) - 1, 0, -1)
         else:
@@ -79,37 +114,26 @@ def gamma_bound(phi, k, side, budget=None):
             block = phi.inverse_letter_image(image[pos], k, budget)
             if budget is not None:
                 budget.charge(len(block))
-            if side == "minus":
-                for y in reversed(block):
-                    tracker.push_left(y)
-            else:
-                for y in block:
-                    tracker.push_right(y)
-            dq = tracker.dq
-            if not dq:
+            coded = encoded.get(image[pos])
+            if coded is None:
+                seq = block if side == "plus" else block[::-1]
+                coded = encoded[image[pos]] = _encode_block(seq, offset)
+            w = _push_block(w, chunks, coded, zero)
+            if not w:
                 raise InvariantViolation("affix preimage reduced to nothing")
-            if side == "minus":
-                if tracker.changes == 0 and dq[0] > 0:
-                    overhang = 0
-                elif tracker.changes == 1 and dq[0] < 0:
-                    overhang = 0
-                    for x in dq:
-                        if x > 0:
-                            break
-                        overhang += 1
-                else:
+            # Qualifying: all positive, or one sign change into a negative
+            # open end, whose length is the overhang.
+            if not chunks:
+                if w[-1] < zero:
                     continue
+                overhang = 0
+            elif len(chunks) == 1 and chunks[0][3] - chunks[0][2] == 1:
+                if w[-1] > zero:
+                    continue
+                base, fl, lo, _ = chunks[0]
+                overhang = len(w) - base - fl[lo]
             else:
-                if tracker.changes == 0 and dq[-1] > 0:
-                    overhang = 0
-                elif tracker.changes == 1 and dq[0] > 0 and dq[-1] < 0:
-                    overhang = 0
-                    for x in reversed(dq):
-                        if x > 0:
-                            break
-                        overhang += 1
-                else:
-                    continue
+                continue
             best = max(best, overhang)
     phi.gamma_bound_cache[(k, side)] = best
     return best

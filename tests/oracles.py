@@ -6,7 +6,9 @@ that way; these functions are the ground truth for the optimized paths.
 """
 
 import math
+from collections import deque
 
+from fgindex.errors import InvariantViolation
 from fgindex.prefix_suffix import Triplet, apply_phi_power_key, two_factors
 from fgindex.words import EPSILON, concat, invert
 
@@ -109,6 +111,93 @@ def overhang_bound(phi, k, side):
                     best = max(best, 0)
                 elif len(runs) == 2 and runs[0][0]:
                     best = max(best, runs[1][1])
+    return best
+
+
+class _SignTracker:
+    """Reduced word in a deque plus an orientation-change counter."""
+
+    def __init__(self):
+        self.dq = deque()
+        self.changes = 0
+
+    def _same_sign(self, x, y):
+        return (x > 0) == (y > 0)
+
+    def push_left(self, y):
+        if self.dq and self.dq[0] == -y:
+            old = self.dq.popleft()
+            if self.dq and not self._same_sign(old, self.dq[0]):
+                self.changes -= 1
+        else:
+            if self.dq and not self._same_sign(y, self.dq[0]):
+                self.changes += 1
+            self.dq.appendleft(y)
+
+    def push_right(self, y):
+        if self.dq and self.dq[-1] == -y:
+            old = self.dq.pop()
+            if self.dq and not self._same_sign(old, self.dq[-1]):
+                self.changes -= 1
+        else:
+            if self.dq and not self._same_sign(y, self.dq[-1]):
+                self.changes += 1
+            self.dq.append(y)
+
+
+def gamma_bound_by_letters(phi, k, side, budget=None):
+    """gamma_bound with every preimage letter pushed through a deque.
+
+    Same scan, same image calls and same budget charges as
+    fgindex.gamma.gamma_bound, so both values and Budget.used must agree.
+    It neither reads nor fills phi.gamma_bound_cache.
+    """
+    if side not in ("minus", "plus"):
+        raise ValueError(f"bad side {side!r}")
+    best = 0
+    for a in phi.alphabet.letters():
+        image = phi.letter_image(a, k, budget)
+        tracker = _SignTracker()
+        if side == "minus":
+            order = range(len(image) - 1, 0, -1)
+        else:
+            order = range(0, len(image) - 1)
+        for pos in order:
+            block = phi.inverse_letter_image(image[pos], k, budget)
+            if budget is not None:
+                budget.charge(len(block))
+            if side == "minus":
+                for y in reversed(block):
+                    tracker.push_left(y)
+            else:
+                for y in block:
+                    tracker.push_right(y)
+            dq = tracker.dq
+            if not dq:
+                raise InvariantViolation("affix preimage reduced to nothing")
+            if side == "minus":
+                if tracker.changes == 0 and dq[0] > 0:
+                    overhang = 0
+                elif tracker.changes == 1 and dq[0] < 0:
+                    overhang = 0
+                    for x in dq:
+                        if x > 0:
+                            break
+                        overhang += 1
+                else:
+                    continue
+            else:
+                if tracker.changes == 0 and dq[-1] > 0:
+                    overhang = 0
+                elif tracker.changes == 1 and dq[0] > 0 and dq[-1] < 0:
+                    overhang = 0
+                    for x in reversed(dq):
+                        if x > 0:
+                            break
+                        overhang += 1
+                else:
+                    continue
+            best = max(best, overhang)
     return best
 
 

@@ -1,15 +1,28 @@
 import types
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fgindex.gamma
+from fgindex import load_automorphism
 from fgindex.config import Budget
 from fgindex.errors import BudgetExceeded, EmptyInput
-from fgindex.gamma import Stream, all_matches, gamma_bound, star_index
+from fgindex.families import cyclic_family
+from fgindex.gamma import (
+    Stream,
+    _encode_block,
+    _push_block,
+    all_matches,
+    gamma_bound,
+    star_index,
+)
 from fgindex.prefix_suffix import loops
 from fgindex.words import EPSILON, invert
 
 import oracles
+from conftest import aut_path
+from strategies import positive_automorphisms
 
 ALL = ["rank3", "rank4", "fibonacci", "rank6", "rank14"]
 
@@ -156,6 +169,95 @@ def test_gamma_bound_is_cached(fibonacci):
 def test_gamma_bound_rejects_unknown_side(fibonacci):
     with pytest.raises(ValueError):
         gamma_bound(fibonacci, 1, "diagonal")
+
+
+# Deepest levels at which the per-letter reference stays fast.
+REFERENCE_LEVELS = [
+    ("rank3", 5),
+    ("rank4", 3),
+    ("fibonacci", 8),
+    ("rank6_cyclic", 6),
+    ("rank14_cyclic", 4),
+] + [(f"family{n}", 6) for n in range(2, 7)]
+
+
+def fresh_map(name):
+    if name.startswith("family"):
+        return cyclic_family(int(name[len("family"):]))
+    return load_automorphism(aut_path(name))
+
+
+@pytest.mark.parametrize("name, top", REFERENCE_LEVELS)
+def test_gamma_bound_matches_letter_reference(name, top):
+    # Each side on fresh maps, so both pay the same image computations.
+    for side in SIDES:
+        phi, ref = fresh_map(name), fresh_map(name)
+        for k in range(1, top + 1):
+            used, ref_used = Budget(10**12), Budget(10**12)
+            assert gamma_bound(phi, k, side, used) == (
+                oracles.gamma_bound_by_letters(ref, k, side, ref_used)
+            )
+            assert used.used == ref_used.used
+
+
+def _flips(word):
+    return [i for i in range(1, len(word)) if (word[i - 1] > 0) != (word[i] > 0)]
+
+
+@st.composite
+def words_and_blocks(draw):
+    """A reduced word and reduced blocks, each cancelling a drawn suffix of
+    the product so far and then going on with fresh letters."""
+    rank = draw(st.integers(1, 4))
+    letter = st.integers(1, rank).flatmap(lambda a: st.sampled_from([a, -a]))
+    fresh = st.lists(letter, max_size=12).map(oracles.reduce_word)
+    word = draw(fresh)
+    cur, blocks = word, []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(st.integers(0, len(cur)))
+        tail = draw(fresh)
+        block = invert(cur[len(cur) - c:]) + tail
+        if oracles.reduce_word(block) != block:
+            break
+        blocks.append(block)
+        cur = oracles.reduce_word(cur + block)
+    return rank, word, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_and_blocks())
+@example((2, (1, -2, 1), [(-1, 2, -1)]))  # full cancellation
+@example((2, (1, 2), [(-2, -2, 1)]))  # partial, a sign change at the seam
+@example((2, (1, -2), [(1, 2)]))  # no cancellation
+@example((3, (-3,), [(3, 1, -2, -2, 3)]))  # block longer than the word
+def test_push_block_is_free_reduction(drawn):
+    rank, word, blocks = drawn
+    offset = rank + 1
+    zero = chr(offset)
+    chunks = []
+    w = _push_block("", chunks, _encode_block(word, offset), zero)
+    cur = word
+    for block in blocks:
+        w = _push_block(w, chunks, _encode_block(block, offset), zero)
+        cur = oracles.reduce_word(cur + block)
+        assert tuple(ord(ch) - offset for ch in w) == cur
+        got = [base + fl[j] for base, fl, lo, hi in chunks for j in range(lo, hi)]
+        assert got == _flips(cur)
+        assert all(lo < hi for _, _, lo, hi in chunks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms())
+def test_gamma_bound_on_drawn_automorphisms(phi):
+    for k in (1, 2, 3):
+        # overhang_bound is quadratic in the image length; keep each draw
+        # under a second.
+        if max(phi.image_lengths(k)) > 400:
+            break
+        for side in SIDES:
+            g = gamma_bound(phi, k, side)
+            assert g == oracles.overhang_bound(phi, k, side)
+            assert g == oracles.gamma_bound_by_letters(phi, k, side)
 
 
 # -- cutoff indices ------------------------------------------------------------------

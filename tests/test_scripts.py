@@ -1,0 +1,39 @@
+"""The scripts under scripts/ run end to end and print one row per input."""
+
+import os
+import subprocess
+import sys
+
+from conftest import AUT_DIR, ROOT
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_survey_prints_a_row_per_bundled_example():
+    out = run_script("survey.py")
+    assert out.returncode == 0, out.stderr
+    rows = out.stdout.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == sorted(
+        path.stem for path in AUT_DIR.glob("*.aut")
+    )
+
+
+def test_family_growth_prints_a_row_per_rank():
+    out = run_script("family_growth.py", "--max-n", "3")
+    assert out.returncode == 0, out.stderr
+    rows = out.stdout.splitlines()
+    assert [row.split(":")[0].split() for row in rows] == [
+        ["rank", "2"],
+        ["rank", "3"],
+    ]
