@@ -40,6 +40,7 @@ class Automorphism:
         self._occ_cache = {1: self.incidence}
         self._ray_cache = {}
         self.two_factor_cache = None
+        self._cycle_cache = {}
         self.gamma_bound_cache = {}
 
     # -- letter-level tables -------------------------------------------------
@@ -62,75 +63,51 @@ class Automorphism:
         """phi^k(a) for a positive letter a, memoized."""
         if k == 0:
             return (a,)
-        key = (a, k)
-        got = self._img_cache.get(key)
+        got = self._img_cache.get((a, k))
         if got is not None:
             return got
-        prev = self.letter_image(a, k - 1, budget)
-        out = []
-        for x in prev:
-            out.extend(self.images[x - 1])
-        word = tuple(out)
-        if budget is not None:
-            budget.charge(len(word))
-        self._img_cache[key] = word
-        return word
+
+        def step(prev):
+            out = []
+            for x in prev:
+                out.extend(self.images[x - 1])
+            return tuple(out)
+
+        return _climb(self._img_cache, a, k, step, budget)
 
     def inverse_letter_image(self, a, k, budget=None):
         """phi^-k(a) for a positive letter a, reduced, memoized."""
         if k == 0:
             return (a,)
-        key = (a, k)
-        got = self._inv_cache.get(key)
+        got = self._inv_cache.get((a, k))
         if got is not None:
             return got
-        prev = self.inverse_letter_image(a, k - 1, budget)
-        out = []
-        for x in prev:
-            piece = self.inverse_image_of_letter(x)
-            for y in piece:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        word = tuple(out)
-        if budget is not None:
-            budget.charge(len(word))
-        self._inv_cache[key] = word
-        return word
+        return _climb(
+            self._inv_cache, a, k, lambda w: self.apply(w, 1, "inverse"), budget
+        )
 
     # -- arithmetic on counts, no materialization ----------------------------
 
-    # Both count tables fill missing levels upward from the highest cached
-    # one in a loop, so a deep first request cannot exhaust the stack.
+    # Both count tables fill contiguously from level 1, so the highest cached
+    # level is the size of the cache; missing levels are stepped up in a loop,
+    # so a deep first request cannot exhaust the stack.
+
+    def _count_step(self, row):
+        """Counts over phi^(j+1)(b), for every b, from counts over phi^j(x)."""
+        return tuple(sum(row[x - 1] for x in img) for img in self.images)
 
     def image_lengths(self, k):
         """Tuple of |phi^k(a)| over positive letters, exact integers."""
         cache = self._len_cache
-        if k not in cache:
-            for i in range(max(i for i in cache if i < k) + 1, k + 1):
-                prev = cache[i - 1]
-                cache[i] = tuple(
-                    sum(prev[x - 1] for x in self.images[a])
-                    for a in range(self.rank)
-                )
+        for i in range(len(cache) + 1, k + 1):
+            cache[i] = self._count_step(cache[i - 1])
         return cache[k]
 
     def occurrence_matrix(self, k):
         """occ[a-1][b-1] = occurrences of a in phi^k(b)."""
         cache = self._occ_cache
-        base = self.incidence
-        n = self.rank
-        if k not in cache:
-            for i in range(max(i for i in cache if i < k) + 1, k + 1):
-                prev = cache[i - 1]
-                cache[i] = tuple(
-                    tuple(
-                        sum(prev[a][c] * base[c][b] for c in range(n))
-                        for b in range(n)
-                    )
-                    for a in range(n)
-                )
+        for i in range(len(cache) + 1, k + 1):
+            cache[i] = tuple(self._count_step(row) for row in cache[i - 1])
         return cache[k]
 
     def word_image_length(self, u, k):
@@ -194,8 +171,12 @@ class Automorphism:
         """Letters lying on a cycle of the first- or last-letter map.
 
         side 'first' uses the first letters of images, 'last' the last
-        letters.  Returns {letter: cycle_length}.
+        letters.  Returns {letter: cycle_length}, computed once per side;
+        callers must not mutate it.
         """
+        on_cycle = self._cycle_cache.get(side)
+        if on_cycle is not None:
+            return on_cycle
         func = self.first_letter_map() if side == "first" else self.last_letter_map()
         on_cycle = {}
         for start in self.alphabet.letters():
@@ -208,6 +189,7 @@ class Automorphism:
                 step += 1
             if x == start:
                 on_cycle[start] = step - seen[x]
+        self._cycle_cache[side] = on_cycle
         return on_cycle
 
     # -- growing rays for periodic points ------------------------------------
@@ -243,6 +225,21 @@ class Automorphism:
                 word = word[: 2 * need]
         self._ray_cache[key] = word
         return word[:need]
+
+
+def _climb(cache, a, k, step, budget):
+    """Level k of a's cached images, stepped up one level at a time from the
+    highest cached level below it, charging each new level as it is built."""
+    i = k - 1
+    while i > 0 and (a, i) not in cache:
+        i -= 1
+    word = cache[(a, i)] if i else (a,)
+    for j in range(i + 1, k + 1):
+        word = step(word)
+        if budget is not None:
+            budget.charge(len(word))
+        cache[(a, j)] = word
+    return word
 
 
 def parse_automorphism(text):

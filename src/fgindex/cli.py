@@ -136,11 +136,22 @@ def report_dict(analysis):
     }
 
 
+def _level_ranges(levels):
+    """Increasing levels as comma-separated runs, such as '2, 5-7, 9'."""
+    runs = []
+    for k in levels:
+        if runs and runs[-1][1] == k - 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+
+
 def _banner(result, out=None):
     print(
         "INCOMPLETE: sweep truncated "
         f"(reached level {result.k_reached} of {result.k_target}; "
-        f"partial levels: {', '.join(map(str, result.partial_levels)) or 'none'})",
+        f"partial levels: {_level_ranges(result.partial_levels) or 'none'})",
         file=out if out is not None else sys.stderr,
     )
 

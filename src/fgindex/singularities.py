@@ -192,22 +192,19 @@ class SweepResult:
     dropped: int
 
 
-def _inverse_length_bounds(phi, k):
-    """Upper bounds on reduced inverse image lengths, by unreduced counts."""
-    cur = [len(w) for w in phi.inverse_images]
-    for _ in range(k - 1):
-        cur = [
-            sum(cur[abs(x) - 1] for x in phi.inverse_images[c])
-            for c in range(phi.rank)
-        ]
-    return cur
+def _inverse_length_bounds(phi, prev):
+    """Upper bounds on reduced inverse image lengths, by unreduced counts:
+    level k's bounds from level k-1's (level 0's are all 1)."""
+    return [
+        sum(prev[abs(x) - 1] for x in phi.inverse_images[c])
+        for c in range(phi.rank)
+    ]
 
 
-def _level_estimate(phi, k):
+def _level_estimate(phi, k, inv_bounds):
     lens = phi.image_lengths(k)
     mat = sum(lens)
     occ = phi.occurrence_matrix(k)
-    inv_bounds = _inverse_length_bounds(phi, k)
     gb = sum(
         sum(occ[c][a] for a in range(phi.rank)) * inv_bounds[c]
         for c in range(phi.rank)
@@ -308,8 +305,10 @@ def find_all(phi, config):
     partial_levels = []
     early_exited = False
     k_reached = 0
+    inv_bounds = [1] * phi.rank
     for k in range(1, k_target + 1):
-        estimate = _level_estimate(phi, k)
+        inv_bounds = _inverse_length_bounds(phi, inv_bounds)
+        estimate = _level_estimate(phi, k, inv_bounds)
         if estimate > min(cap, budget.remaining):
             _eps_level(phi, k, registry, None)
             partial_levels.append(k)

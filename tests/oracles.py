@@ -363,3 +363,52 @@ def minimal_phi_power(phi, point, cap=10**6):
         if apply_phi_power_key(phi, key, m) == key:
             return m
     return None
+
+
+# -- the level gate's tables, recomputed the slow way ---------------------------
+
+
+def occurrence_matrices_by_product(phi, k):
+    """[occ_1, ..., occ_k], each level the dense product of the one before
+    with the incidence matrix: occ[a-1][b-1] = occurrences of a in phi^j(b)."""
+    base = phi.incidence
+    n = phi.rank
+    out = [base]
+    for _ in range(k - 1):
+        prev = out[-1]
+        out.append(
+            tuple(
+                tuple(
+                    sum(prev[a][c] * base[c][b] for c in range(n))
+                    for b in range(n)
+                )
+                for a in range(n)
+            )
+        )
+    return out
+
+
+def inverse_length_bounds(phi, k):
+    """Upper bounds on reduced inverse image lengths, by unreduced counts."""
+    cur = [len(w) for w in phi.inverse_images]
+    for _ in range(k - 1):
+        cur = [
+            sum(cur[abs(x) - 1] for x in phi.inverse_images[c])
+            for c in range(phi.rank)
+        ]
+    return cur
+
+
+def level_estimate(phi, k, occ):
+    """The level gate's projected cost of level k, from occ = occ_k and the
+    inverse bounds rebuilt from level 1."""
+    lens = [sum(col) for col in zip(*occ)]
+    mat = sum(lens)
+    inv_bounds = inverse_length_bounds(phi, k)
+    gb = sum(
+        sum(occ[c][a] for a in range(phi.rank)) * inv_bounds[c]
+        for c in range(phi.rank)
+    )
+    n_loops = sum(occ[a][a] for a in range(phi.rank))
+    stream = n_loops * 2 * (max(inv_bounds) + 2) * max(lens)
+    return mat + gb + stream

@@ -11,7 +11,7 @@ from math import lcm
 
 from fgindex import sgraph
 from fgindex.automorphism import load_automorphism
-from fgindex.cli import analyze, index_fraction, report_dict
+from fgindex.cli import EXIT_TRUNCATED, analyze, index_fraction, main, report_dict
 from fgindex.config import RunConfig
 from fgindex.families import cyclic_family
 from fgindex.prefix_suffix import loops
@@ -143,6 +143,19 @@ def test_cyclic_family_completes_with_bounded_index():
         {n: f"{observed[n]} (reference {2 * n - 2})" for n in observed},
     )
     assert time.perf_counter() - t0 < 30.0
+
+
+def test_twelve_hundred_levels_are_gated_within_three_seconds(capsys):
+    # Almost every level is priced and then run blank-only; the gate's cost
+    # must grow linearly in k for this to stay fast.
+    t0 = time.perf_counter()
+    code = main(["index", str(aut_path("rank14_cyclic")), "--max-k", "1200"])
+    elapsed = time.perf_counter() - t0
+    assert code == EXIT_TRUNCATED
+    captured = capsys.readouterr()
+    assert "doubled index: 15" in captured.out
+    assert "partial levels: 4-1200)" in captured.err
+    assert elapsed < 3.0
 
 
 def test_invariant_suite_is_always_on():

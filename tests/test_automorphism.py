@@ -1,7 +1,14 @@
 import pytest
 
 from fgindex.automorphism import parse_automorphism, validate
-from fgindex.errors import NotInverse, NotPositive, NotPrimitive, ParseError
+from fgindex.config import Budget
+from fgindex.errors import (
+    BudgetExceeded,
+    NotInverse,
+    NotPositive,
+    NotPrimitive,
+    ParseError,
+)
 from fgindex.families import cyclic_family
 from fgindex.words import invert
 
@@ -114,6 +121,27 @@ def test_deep_count_tables_on_a_fresh_map():
     assert lens == tuple(sum(prev[x - 1] for x in phi.images[a]) for a in range(3))
     occ = phi.occurrence_matrix(3000)
     assert tuple(sum(col) for col in zip(*occ)) == phi.image_lengths(3000)
+
+
+def test_deep_letter_images_run_out_of_budget_not_stack():
+    # A deep first request climbs level by level, charging each level as it
+    # is built, so the budget stops it long before the interpreter's stack.
+    phi = cyclic_family(3)
+    with pytest.raises(BudgetExceeded):
+        phi.letter_image(1, 5000, Budget(10**4))
+    with pytest.raises(BudgetExceeded):
+        phi.inverse_letter_image(1, 5000, Budget(10**4))
+    fresh = cyclic_family(3)
+    budget = Budget(10**7)
+    fresh.letter_image(1, 3, budget)
+    fresh.letter_image(1, 12, budget)
+    assert budget.used == sum(fresh.image_lengths(j)[0] for j in range(1, 13))
+
+
+def test_cycle_letters_are_computed_once():
+    phi = cyclic_family(4)
+    for side in ("first", "last"):
+        assert phi.cycle_letters(side) is phi.cycle_letters(side)
 
 
 def test_word_image_length_adds_up(phi):

@@ -7,6 +7,7 @@ from fgindex.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_TRUNCATED,
+    _level_ranges,
     index_fraction,
     main,
     report_dict,
@@ -90,8 +91,15 @@ def test_index_truncated_run(capsys):
     assert "complete: no" in captured.out
     assert captured.err.strip() == (
         "INCOMPLETE: sweep truncated (reached level 10 of 10; "
-        "partial levels: 5, 6, 7, 8, 9, 10)"
+        "partial levels: 5-10)"
     )
+
+
+def test_level_ranges_collapse_consecutive_runs():
+    assert _level_ranges([]) == ""
+    assert _level_ranges([7]) == "7"
+    assert _level_ranges([2, 5, 6, 7, 9, 10]) == "2, 5-7, 9-10"
+    assert _level_ranges(range(5, 1201)) == "5-1200"
 
 
 def test_index_rejects_bad_budget(capsys):

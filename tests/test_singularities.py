@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
 
+from fgindex.automorphism import load_automorphism
+from fgindex.cli import analyze
 from fgindex.config import RunConfig
 from fgindex.errors import InvariantViolation
+from fgindex.families import cyclic_family
 from fgindex.gamma import all_matches
 from fgindex.prefix_suffix import loops, periodic_point, point_fixed_by
 from fgindex.singularities import (
@@ -9,6 +13,8 @@ from fgindex.singularities import (
     Singularity,
     _check_disjoint,
     _from_match_groups,
+    _inverse_length_bounds,
+    _level_estimate,
     approx_classes,
     find_all,
     fixing_power,
@@ -18,6 +24,8 @@ from fgindex.singularities import (
 )
 from fgindex.words import EPSILON
 
+from conftest import aut_path
+from strategies import positive_automorphisms
 import oracles
 
 
@@ -495,3 +503,66 @@ def test_early_exit_finds_the_same_classes(rank3, rank3_analysis):
         for s in rank3_analysis.result.singularities
     ]
     assert got == want
+
+
+# -- the level gate -----------------------------------------------------------------
+
+
+def _assert_gate_tables_match_references(phi, k_max=60):
+    occs = oracles.occurrence_matrices_by_product(phi, k_max)
+    bounds = [1] * phi.rank
+    for k in range(1, k_max + 1):
+        bounds = _inverse_length_bounds(phi, bounds)
+        assert bounds == oracles.inverse_length_bounds(phi, k), k
+        occ = occs[k - 1]
+        assert phi.occurrence_matrix(k) == occ, k
+        assert phi.image_lengths(k) == tuple(sum(col) for col in zip(*occ)), k
+        assert _level_estimate(phi, k, bounds) == oracles.level_estimate(
+            phi, k, occ
+        ), k
+
+
+@pytest.mark.parametrize(
+    "name", ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
+)
+def test_gate_tables_match_references_on_bundled_maps(name):
+    _assert_gate_tables_match_references(load_automorphism(aut_path(name)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gate_tables_match_references_on_the_family(n):
+    _assert_gate_tables_match_references(cyclic_family(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_automorphisms())
+def test_gate_tables_match_references_on_drawn_automorphisms(phi):
+    _assert_gate_tables_match_references(phi)
+
+
+def test_gate_tables_requested_out_of_order():
+    phi = load_automorphism(aut_path("rank6_cyclic"))
+    occs = oracles.occurrence_matrices_by_product(phi, 41)
+    for k in (40, 7, 41):
+        occ = occs[k - 1]
+        bounds = oracles.inverse_length_bounds(phi, k)
+        assert _level_estimate(phi, k, bounds) == oracles.level_estimate(
+            phi, k, occ
+        )
+        assert phi.occurrence_matrix(k) == occ
+        assert phi.image_lengths(k) == tuple(sum(col) for col in zip(*occ))
+
+
+@pytest.mark.parametrize(
+    "name, full_levels, budget_used, doubled",
+    [
+        ("rank14_cyclic", [1, 2, 3], 11887, 15),
+        ("rank6_cyclic", [1, 2, 3, 4], 38104, 9),
+    ],
+)
+def test_gate_decisions_at_level_600_are_frozen(name, full_levels, budget_used, doubled):
+    a = analyze(load_automorphism(aut_path(name)), RunConfig(max_k=600))
+    assert a.result.full_levels == full_levels
+    assert a.result.partial_levels == list(range(len(full_levels) + 1, 601))
+    assert a.result.budget_used == budget_used
+    assert a.doubled == doubled
