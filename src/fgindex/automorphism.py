@@ -88,9 +88,8 @@ class Automorphism:
 
     # -- arithmetic on counts, no materialization ----------------------------
 
-    # Both count tables fill contiguously from level 1, so the highest cached
-    # level is the size of the cache; missing levels are stepped up in a loop,
-    # so a deep first request cannot exhaust the stack.
+    # Missing levels are stepped up in a loop from a cached one, so a deep
+    # first request cannot exhaust the stack.
 
     def _count_step(self, row):
         """Counts over phi^(j+1)(b), for every b, from counts over phi^j(x)."""
@@ -104,11 +103,26 @@ class Automorphism:
         return cache[k]
 
     def occurrence_matrix(self, k):
-        """occ[a-1][b-1] = occurrences of a in phi^k(b)."""
+        """occ[a-1][b-1] = occurrences of a in phi^k(b).
+
+        Only level 1 and the highest level requested so far are kept: the
+        sweep reads no other, and each is rank^2 integers that grow with k.
+        A lower level is stepped up again from level 1 and not kept.
+        """
         cache = self._occ_cache
-        for i in range(len(cache) + 1, k + 1):
-            cache[i] = tuple(self._count_step(row) for row in cache[i - 1])
-        return cache[k]
+        got = cache.get(k)
+        if got is not None:
+            return got
+        top = max(cache)
+        start = top if top < k else 1
+        occ = cache[start]
+        for _ in range(start, k):
+            occ = tuple(self._count_step(row) for row in occ)
+        if k > top:
+            if top > 1:
+                del cache[top]
+            cache[k] = occ
+        return occ
 
     def word_image_length(self, u, k):
         """|phi^k(u)| for pure positive u, without materializing."""

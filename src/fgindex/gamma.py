@@ -139,51 +139,65 @@ def gamma_bound(phi, k, side, budget=None):
     return best
 
 
+def _hash(letters):
+    """Polynomial hash of a letter sequence, the one hash every window uses."""
+    h = 0
+    for x in letters:
+        h = (h * _B + x) % _M
+    return h
+
+
+def _block_table(phi, k, side, budget=None):
+    """{c: (block, H(block), _B^|block| mod _M)} for every letter c, where the
+    block is phi^k(c) in stream order (reversed on the minus side), as a list.
+
+    Built per call, never stored on phi: it holds hashes under the modulus in
+    force when it was made.
+    """
+    table = {}
+    for c in phi.alphabet.letters():
+        img = phi.letter_image(c, k, budget)
+        blk = list(img) if side == "plus" else list(reversed(img))
+        table[c] = (blk, _hash(blk), pow(_B, len(blk), _M))
+    return table
+
+
 class Stream:
-    """Lazy rotation orbit of one affix, with prefix hashes of its windows.
+    """Lazy rotation orbit of one affix, with the hashes of its windows.
 
     Rotation always consumes at the front of the stored array and appends the
     substituted block at the back; the minus side stores words reversed so
     both sides share this shape.  Window i (the i-th rotation value, in
-    stream coordinates) is data[i : i + lens[i]].
+    stream coordinates) is data[i : i + lens[i]].  Windows start at 0..steps
+    and each ends one block after the previous one, so the stream keeps one
+    prefix hash per start and one per end, the latter composed a block at a
+    time from the block table: H(x . blk) = H(x) * B^|blk| + H(blk).
     """
 
-    def __init__(self, phi, k, side, start, budget=None):
+    def __init__(self, phi, k, side, start, budget=None, table=None):
         require_nonempty(tuple(start), "stream start")
-        self.phi = phi
-        self.k = k
         self.side = side
         self.budget = budget
-        word = tuple(start) if side == "plus" else tuple(reversed(start))
-        self.data = []
-        self.lens = [len(word)]
-        self._blocks = {}
-        self._h = [0]
-        self._extend(word)
-
-    def _extend(self, letters):
-        h = self._h
-        for x in letters:
-            self.data.append(x)
-            h.append((h[-1] * _B + x) % _M)
-
-    def block(self, c):
-        got = self._blocks.get(c)
-        if got is None:
-            img = self.phi.letter_image(c, self.k, self.budget)
-            got = img if self.side == "plus" else tuple(reversed(img))
-            self._blocks[c] = got
-        return got
+        if table is None:
+            table = _block_table(phi, k, side, budget)
+        self.table = table
+        self.data = list(start) if side == "plus" else list(reversed(start))
+        self.lens = [len(self.data)]
+        self._start_h = [0]
+        self._end_h = [_hash(self.data)]
 
     def steps(self):
         return len(self.lens) - 1
 
     def _advance(self):
-        t = self.steps()
-        blk = self.block(self.data[t])
+        t = len(self.lens) - 1
+        x = self.data[t]
+        blk, h, p = self.table[x]
         if self.budget is not None:
             self.budget.charge(len(blk))
-        self._extend(blk)
+        self.data.extend(blk)
+        self._start_h.append((self._start_h[t] * _B + x) % _M)
+        self._end_h.append((self._end_h[t] * p + h) % _M)
         self.lens.append(self.lens[t] - 1 + len(blk))
 
     def ensure_steps(self, i):
@@ -197,8 +211,7 @@ class Stream:
 
     def window_hash(self, i):
         n = self.lens[i]
-        h = self._h
-        return (n, (h[i + n] - h[i] * pow(_B, n, _M)) % _M)
+        return (n, (self._end_h[i] - self._start_h[i] * pow(_B, n, _M)) % _M)
 
     def window_equal(self, i, other, j):
         if self.lens[i] != other.lens[j]:
@@ -221,19 +234,19 @@ def _peelable(stream, i, depth_needed):
     substituted end of window i, leaving a pure positive remainder?"""
     lens_i = stream.lens[i]
     end = i + lens_i
-    letters = stream.phi.alphabet.letters()
+    data = stream.data
+    blocks = [blk for blk, _, _ in stream.table.values()]
     reached = {0: 0}
     frontier = [0]
     while frontier:
         new_frontier = []
         for off in frontier:
             depth = reached[off]
-            for c in letters:
-                blk = stream.block(c)
+            for blk in blocks:
                 w = len(blk)
                 if off + w > lens_i:
                     continue
-                if stream.data[end - off - w: end - off] != list(blk):
+                if data[end - off - w: end - off] != blk:
                     continue
                 nxt = off + w
                 if nxt in reached and reached[nxt] >= depth + 1:
@@ -290,7 +303,8 @@ def all_matches(phi, k, side, affixes, budget=None):
     if len(affixes) < 2:
         return {}
     g = gamma_bound(phi, k, side, budget)
-    streams = [Stream(phi, k, side, a, budget) for a in affixes]
+    table = _block_table(phi, k, side, budget)
+    streams = [Stream(phi, k, side, a, budget, table) for a in affixes]
     stars = [star_index(phi, k, side, s, g, budget) for s in streams]
     horizon = max(s.lens[i] for s, i in zip(streams, stars))
     for s in streams:

@@ -9,8 +9,9 @@ import math
 from collections import deque
 
 from fgindex.errors import InvariantViolation
+from fgindex.gamma import _B, _M
 from fgindex.prefix_suffix import Triplet, apply_phi_power_key, two_factors
-from fgindex.words import EPSILON, concat, invert
+from fgindex.words import EPSILON, concat, invert, require_nonempty
 
 
 def reduce_word(seq):
@@ -249,6 +250,86 @@ def match_scan(phi, k, side, x, y, depth=12):
         return None
     i, j = min(hits)
     return i, j, xs[i]
+
+
+class StreamByLetters:
+    """Lazy rotation orbit of one affix, with prefix hashes of its windows.
+
+    Rotation always consumes at the front of the stored array and appends the
+    substituted block at the back; the minus side stores words reversed so
+    both sides share this shape.  Window i (the i-th rotation value, in
+    stream coordinates) is data[i : i + lens[i]].
+
+    The per-letter form of gamma.Stream, the reference for its block-composed
+    hashes: every stored letter gets its own prefix hash.
+    """
+
+    def __init__(self, phi, k, side, start, budget=None):
+        require_nonempty(tuple(start), "stream start")
+        self.phi = phi
+        self.k = k
+        self.side = side
+        self.budget = budget
+        word = tuple(start) if side == "plus" else tuple(reversed(start))
+        self.data = []
+        self.lens = [len(word)]
+        self._blocks = {}
+        self._h = [0]
+        self._extend(word)
+
+    def _extend(self, letters):
+        h = self._h
+        for x in letters:
+            self.data.append(x)
+            h.append((h[-1] * _B + x) % _M)
+
+    def block(self, c):
+        got = self._blocks.get(c)
+        if got is None:
+            img = self.phi.letter_image(c, self.k, self.budget)
+            got = img if self.side == "plus" else tuple(reversed(img))
+            self._blocks[c] = got
+        return got
+
+    def steps(self):
+        return len(self.lens) - 1
+
+    def _advance(self):
+        t = self.steps()
+        blk = self.block(self.data[t])
+        if self.budget is not None:
+            self.budget.charge(len(blk))
+        self._extend(blk)
+        self.lens.append(self.lens[t] - 1 + len(blk))
+
+    def ensure_steps(self, i):
+        while self.steps() < i:
+            self._advance()
+
+    def ensure_len(self, bound):
+        """Grow until the newest window is strictly longer than bound."""
+        while self.lens[-1] <= bound:
+            self._advance()
+
+    def window_hash(self, i):
+        n = self.lens[i]
+        h = self._h
+        return (n, (h[i + n] - h[i] * pow(_B, n, _M)) % _M)
+
+    def window_equal(self, i, other, j):
+        if self.lens[i] != other.lens[j]:
+            return False
+        return (
+            self.data[i: i + self.lens[i]]
+            == other.data[j: j + other.lens[j]]
+        )
+
+    def word_at(self, i):
+        """The i-th rotation value as an actual word."""
+        raw = self.data[i: i + self.lens[i]]
+        if self.side == "minus":
+            raw = reversed(raw)
+        return tuple(raw)
 
 
 def two_factor_scan(phi, cap=40, length_cap=300_000):

@@ -149,6 +149,45 @@ def test_stream_window_equal_is_word_equality(rank3):
             )
 
 
+def _assert_streams_match_letter_reference(phi, k_max=3, steps=12):
+    # Window hashes composed a block at a time must equal the per-letter
+    # prefix hashes, both when grown step by step and by length.
+    for k in range(1, k_max + 1):
+        for side in SIDES:
+            for u in affixes(phi, k, side):
+                by_steps = Stream(phi, k, side, u)
+                ref = oracles.StreamByLetters(phi, k, side, u)
+                by_steps.ensure_steps(steps)
+                ref.ensure_steps(steps)
+                by_len = Stream(phi, k, side, u)
+                ref_len = oracles.StreamByLetters(phi, k, side, u)
+                by_len.ensure_len(max(ref.lens))
+                ref_len.ensure_len(max(ref.lens))
+                for stream, expected in ((by_steps, ref), (by_len, ref_len)):
+                    assert stream.lens == expected.lens
+                    for i in range(len(expected.lens)):
+                        assert stream.window_hash(i) == expected.window_hash(i)
+                        assert stream.word_at(i) == expected.word_at(i)
+
+
+@pytest.mark.parametrize(
+    "name", ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
+    + [f"family{n}" for n in range(2, 7)]
+)
+def test_stream_matches_letter_reference(name):
+    _assert_streams_match_letter_reference(fresh_map(name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(positive_automorphisms())
+def test_stream_matches_letter_reference_on_drawn_automorphisms(phi):
+    # Keep each draw's streams short; twelve steps of long blocks are slow.
+    k_max = 0
+    while k_max < 3 and max(phi.image_lengths(k_max + 1)) <= 100:
+        k_max += 1
+    _assert_streams_match_letter_reference(phi, k_max)
+
+
 # -- the overhang bound -------------------------------------------------------------
 
 

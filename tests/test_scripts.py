@@ -7,8 +7,10 @@ import sys
 from conftest import AUT_DIR, ROOT
 
 
-def run_script(name, *args):
+def run_script(name, *args, hash_seed=None):
     env = dict(os.environ)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -37,3 +39,13 @@ def test_family_growth_prints_a_row_per_rank():
         ["rank", "2"],
         ["rank", "3"],
     ]
+
+
+def test_report_digests_do_not_depend_on_hash_order():
+    runs = [run_script("report_digest.py", hash_seed=seed) for seed in (0, 1)]
+    for out in runs:
+        assert out.returncode == 0, out.stderr
+    rows = runs[0].stdout.splitlines()
+    assert len(rows) == 18
+    assert len({row.split()[0] for row in rows}) == 18
+    assert runs[1].stdout == runs[0].stdout

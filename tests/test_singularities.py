@@ -566,3 +566,34 @@ def test_gate_decisions_at_level_600_are_frozen(name, full_levels, budget_used, 
     assert a.result.partial_levels == list(range(len(full_levels) + 1, 601))
     assert a.result.budget_used == budget_used
     assert a.doubled == doubled
+
+
+@pytest.mark.parametrize(
+    "source, config, top, budget_used, doubled",
+    [
+        ("rank14_cyclic", RunConfig(max_k=5, budget=10**12), 5, 1152494, 8),
+        ("rank6_cyclic", RunConfig(max_k=7, budget=10**12), 7, 15194280, 9),
+        (9, RunConfig(), 24, 373850, 16),
+    ],
+    ids=["rank14_cyclic-k5", "rank6_cyclic-k7", "family9"],
+)
+def test_stream_layer_budget_is_frozen(source, config, top, budget_used, doubled):
+    # The report's sweep bookkeeping is outside the benchmark's checks; these
+    # letter totals are what the streams, gamma bounds and joins charge.
+    if isinstance(source, int):
+        phi = cyclic_family(source)
+    else:
+        phi = load_automorphism(aut_path(source))
+    a = analyze(phi, config)
+    assert a.result.full_levels == list(range(1, top + 1))
+    assert a.result.budget_used == budget_used
+    assert a.doubled == doubled
+
+
+def test_occurrence_cache_keeps_two_levels():
+    phi = load_automorphism(aut_path("rank14_cyclic"))
+    analyze(phi, RunConfig(max_k=600))
+    assert sorted(phi._occ_cache) == [1, 600]
+    occs = oracles.occurrence_matrices_by_product(phi, 9)
+    assert phi.occurrence_matrix(9) == occs[8]
+    assert sorted(phi._occ_cache) == [1, 600]
