@@ -35,13 +35,12 @@ class Automorphism:
             for a in range(1, self.rank + 1)
         )
         self._img_cache = {}
-        self._inv_cache = {}
         self._len_cache = {1: tuple(len(w) for w in self.images)}
         self._occ_cache = {1: self.incidence}
         self._ray_cache = {}
         self.two_factor_cache = None
         self._cycle_cache = {}
-        self.gamma_bound_cache = {}
+        self.inverse_blocks = None  # phi^-j(a) as gamma_bound encodes them
 
     # -- letter-level tables -------------------------------------------------
 
@@ -60,31 +59,22 @@ class Automorphism:
         return {a: self.images[a - 1][-1] for a in self.alphabet.letters()}
 
     def letter_image(self, a, k, budget=None):
-        """phi^k(a) for a positive letter a, memoized."""
-        if k == 0:
-            return (a,)
-        got = self._img_cache.get((a, k))
-        if got is not None:
-            return got
-
-        def step(prev):
+        """phi^k(a) for a positive letter a, memoized.  Missing levels are
+        stepped up from the highest cached one, each charged as it is built."""
+        cache = self._img_cache
+        i = k
+        while i > 0 and (a, i) not in cache:
+            i -= 1
+        word = cache[(a, i)] if i else (a,)
+        for j in range(i + 1, k + 1):
             out = []
-            for x in prev:
+            for x in word:
                 out.extend(self.images[x - 1])
-            return tuple(out)
-
-        return _climb(self._img_cache, a, k, step, budget)
-
-    def inverse_letter_image(self, a, k, budget=None):
-        """phi^-k(a) for a positive letter a, reduced, memoized."""
-        if k == 0:
-            return (a,)
-        got = self._inv_cache.get((a, k))
-        if got is not None:
-            return got
-        return _climb(
-            self._inv_cache, a, k, lambda w: self.apply(w, 1, "inverse"), budget
-        )
+            word = tuple(out)
+            if budget is not None:
+                budget.charge(len(word))
+            cache[(a, j)] = word
+        return word
 
     # -- arithmetic on counts, no materialization ----------------------------
 
@@ -125,11 +115,10 @@ class Automorphism:
         return occ
 
     def word_image_length(self, u, k):
-        """|phi^k(u)| for pure positive u, without materializing."""
-        lens = self.image_lengths(k) if k > 0 else None
-        if k == 0:
-            return len(u)
-        return sum(lens[x - 1] for x in u)
+        """|phi^k(u)| for a pure positive or pure negative word u, without
+        materializing: no image cancels, and |phi^k(x^-1)| = |phi^k(x)|."""
+        lens = self.image_lengths(k) if k else (1,) * self.rank
+        return sum(lens[abs(x) - 1] for x in u)
 
     # -- whole-word application ----------------------------------------------
 
@@ -239,21 +228,6 @@ class Automorphism:
                 word = word[: 2 * need]
         self._ray_cache[key] = word
         return word[:need]
-
-
-def _climb(cache, a, k, step, budget):
-    """Level k of a's cached images, stepped up one level at a time from the
-    highest cached level below it, charging each new level as it is built."""
-    i = k - 1
-    while i > 0 and (a, i) not in cache:
-        i -= 1
-    word = cache[(a, i)] if i else (a,)
-    for j in range(i + 1, k + 1):
-        word = step(word)
-        if budget is not None:
-            budget.charge(len(word))
-        cache[(a, j)] = word
-    return word
 
 
 def parse_automorphism(text):

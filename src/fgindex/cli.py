@@ -147,13 +147,20 @@ def _level_ranges(levels):
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
-def _banner(result, out=None):
+def _exit_code(result, rank):
+    """EXIT_OK, or EXIT_TRUNCATED after a stderr banner saying why."""
+    if result.complete:
+        return EXIT_OK
+    if result.partial_levels:
+        why = f"partial levels: {_level_ranges(result.partial_levels)}"
+    else:
+        why = f"level target {result.k_target} below 4N-4 = {4 * rank - 4}"
     print(
         "INCOMPLETE: sweep truncated "
-        f"(reached level {result.k_reached} of {result.k_target}; "
-        f"partial levels: {_level_ranges(result.partial_levels) or 'none'})",
-        file=out if out is not None else sys.stderr,
+        f"(reached level {result.k_reached} of {result.k_target}; {why})",
+        file=sys.stderr,
     )
+    return EXIT_TRUNCATED
 
 
 def _write_outputs(args, analysis):
@@ -204,10 +211,7 @@ def cmd_index(args):
     print(f"index: {index_fraction(analysis.doubled)}")
     print(f"complete: {'yes' if result.complete else 'no'}")
     _write_outputs(args, analysis)
-    if not result.complete:
-        _banner(result)
-        return EXIT_TRUNCATED
-    return EXIT_OK
+    return _exit_code(result, phi.rank)
 
 
 def cmd_report(args):
@@ -218,10 +222,7 @@ def cmd_report(args):
         _write_outputs(args, analysis)
     else:
         print(json.dumps(report_dict(analysis), indent=2, sort_keys=True))
-    if not result.complete:
-        _banner(result)
-        return EXIT_TRUNCATED
-    return EXIT_OK
+    return _exit_code(result, phi.rank)
 
 
 def cmd_verify(args):
@@ -318,10 +319,7 @@ def cmd_verify(args):
     _write_outputs(args, analysis)
     if failures:
         return EXIT_INVALID
-    if not result.complete:
-        _banner(result)
-        return EXIT_TRUNCATED
-    return EXIT_OK
+    return _exit_code(result, phi.rank)
 
 
 def _add_run_flags(sub):

@@ -9,6 +9,7 @@ iteration must be pushed before giving up, so the search is finite.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 
 from .errors import CapExceeded, InvariantViolation
@@ -26,24 +27,9 @@ _STAR_CAP = 10_000
 _JUNCTION = (0,)
 
 
-def _encode_block(seq, offset):
-    """String form of a reduced word for _push_block.
-
-    Letter x becomes chr(offset + x), so with offset = rank + 1 a letter is
-    positive exactly when its character is above chr(offset).  Returns the
-    word, its inverse and the positions i where letters i-1 and i differ in
-    sign.
-    """
-    enc = "".join([chr(offset + x) for x in seq])
-    inv = "".join([chr(offset - x) for x in reversed(seq)])
-    flips = tuple(
-        i for i in range(1, len(seq)) if (seq[i - 1] > 0) != (seq[i] > 0)
-    )
-    return enc, inv, flips
-
-
 def _push_block(w, chunks, block, zero):
-    """Freely reduce w . enc for an encoded block (enc, inv, flips).
+    """Freely reduce w . enc for an encoded block (enc, inv, flips), in the
+    encoding of _InverseBlocks.
 
     w and enc are reduced, so exactly the longest c with w[-c:] == inv[-c:]
     cancels; cancelling is prefix-closed, so c is found by bisection on slice
@@ -83,6 +69,63 @@ def _push_block(w, chunks, block, zero):
     return w[:m] + enc[c:]
 
 
+class _InverseBlocks:
+    """Encoded blocks (enc, inv, flips) of phi^-j(x) for signed letters x,
+    built on demand, one level from the one below, and kept on phi.
+
+    Letter x is chr(offset + x) with offset = rank + 1, so a letter is
+    positive exactly when its character is above chr(offset); flips are the
+    positions i where letters i-1 and i differ in sign.  Level j of c is the
+    reduced product, by _push_block, of the level j-1 blocks over the letters
+    of phi^-1(c); the block of c^-1 is its mirror, built alongside it.
+    """
+
+    def __init__(self, phi):
+        # Not phi: a cycle through it would outlive phi's last reference.
+        self.inverse_images = phi.inverse_images
+        offset = phi.rank + 1
+        self.zero = chr(offset)
+        signed = [x for a in phi.alphabet.letters() for x in (a, -a)]
+        letters = {x: (chr(offset + x), chr(offset - x), ()) for x in signed}
+        self.swap = str.maketrans({e: i for e, i, _ in letters.values()})
+        self.levels = [letters]
+        self.charged = {}  # the highest level of each letter charged so far
+
+    def read(self, x, k, budget=None):
+        """Level k of x.  Each level j of |x| no earlier read charged is
+        built and then charged |phi^-j(|x|)|; built levels are kept."""
+        c = abs(x)
+        self.levels += [{} for _ in range(len(self.levels), k + 1)]
+        for j in range(self.charged.get(c, 0) + 1, k + 1):
+            self._build(c, j)
+            if budget is not None:
+                budget.charge(len(self.levels[j][c][0]))
+            self.charged[c] = j
+        return self.levels[k][x]
+
+    def _build(self, c, j):
+        """Level j of c and every lower level it needs, depth first."""
+        levels, stack = self.levels, [(c, j)]
+        while stack:
+            y, i = stack.pop()
+            if y in levels[i]:
+                continue
+            prev, word = levels[i - 1], self.inverse_images[y - 1]
+            missing = [(abs(x), i - 1) for x in word if x not in prev]
+            if missing:
+                stack += [(y, i)] + missing
+                continue
+            w, chunks = "", []
+            for x in word:
+                w = _push_block(w, chunks, prev[x], self.zero)
+            flips = array("q")
+            for base, fl, lo, hi in chunks:
+                flips.extend(map(base.__add__, fl[lo:hi]))
+            inv, n = w[::-1].translate(self.swap), len(w)
+            levels[i][y] = (w, inv, flips)
+            levels[i][-y] = (inv, w, array("q", map(n.__sub__, flips[::-1])))
+
+
 def gamma_bound(phi, k, side, budget=None):
     """Largest mixed-sign overhang among qualifying affix preimages.
 
@@ -91,51 +134,36 @@ def gamma_bound(phi, k, side, budget=None):
     count of leading negatives.  Plus side mirrors with prefixes and
     (positives+)(negatives).  Zero when no suffix qualifies.
     """
-    cached = phi.gamma_bound_cache.get((k, side))
-    if cached is not None:
-        return cached
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
-    offset = phi.rank + 1
-    zero = chr(offset)
-    encoded = {}
-    best = 0
+    plus = side == "plus"
+    inverse = phi.inverse_blocks = phi.inverse_blocks or _InverseBlocks(phi)
+    zero = inverse.zero
+    blocks, best = {}, 0
     for a in phi.alphabet.letters():
         image = phi.letter_image(a, k, budget)
-        # The reduced preimage is kept with its open end last: reversed on
-        # the minus side, where blocks join on the left, in order on the plus.
-        w = ""
-        chunks = []
-        if side == "minus":
-            order = range(len(image) - 1, 0, -1)
-        else:
-            order = range(0, len(image) - 1)
+        # The reduced preimage is kept with its open end last: on the plus
+        # side as it is, on the minus side, where blocks join on the left, as
+        # its inverse, built from the inverse blocks with every sign swapped.
+        w, chunks = "", []
+        order = range(len(image) - 1) if plus else range(len(image) - 1, 0, -1)
         for pos in order:
-            block = phi.inverse_letter_image(image[pos], k, budget)
+            c = image[pos]
+            block = blocks.get(c)
+            if block is None:
+                block = blocks[c] = inverse.read(c if plus else -c, k, budget)
             if budget is not None:
-                budget.charge(len(block))
-            coded = encoded.get(image[pos])
-            if coded is None:
-                seq = block if side == "plus" else block[::-1]
-                coded = encoded[image[pos]] = _encode_block(seq, offset)
-            w = _push_block(w, chunks, coded, zero)
+                budget.charge(len(block[0]))
+            w = _push_block(w, chunks, block, zero)
             if not w:
                 raise InvariantViolation("affix preimage reduced to nothing")
-            # Qualifying: all positive, or one sign change into a negative
-            # open end, whose length is the overhang.
-            if not chunks:
-                if w[-1] < zero:
-                    continue
-                overhang = 0
-            elif len(chunks) == 1 and chunks[0][3] - chunks[0][2] == 1:
-                if w[-1] > zero:
-                    continue
-                base, fl, lo, _ = chunks[0]
-                overhang = len(w) - base - fl[lo]
-            else:
-                continue
-            best = max(best, overhang)
-    phi.gamma_bound_cache[(k, side)] = best
+            # Qualifying: all positive, with overhang 0, which never raises
+            # best; or one sign change into a negative open end, whose length
+            # is the overhang.  Signs are swapped on the minus side.
+            if len(chunks) == 1 and (w[-1] > zero) != plus:
+                base, fl, lo, hi = chunks[0]
+                if hi - lo == 1:
+                    best = max(best, len(w) - base - fl[lo])
     return best
 
 

@@ -294,8 +294,8 @@ def find_all(phi, config):
     """Sweep substitution powers, collecting and merging all singular classes.
 
     Levels whose projected cost exceeds the per-level budget slice are
-    restricted to blank-sided matches; any such restriction, or running out
-    of budget entirely, is reported through the completeness flag.
+    restricted to blank-sided matches.  Such a level, running out of budget
+    or a level target below 4N-4 leaves the sweep incomplete.
     """
     budget = config.make_budget()
     k_target = resolved_max_k(config, phi.rank)
@@ -338,7 +338,7 @@ def find_all(phi, config):
             if r > 4 * phi.rank - 4:
                 raise InvariantViolation("development period exceeded its bound")
             max_rho = max(max_rho, r)
-    complete = not partial_levels
+    complete = not partial_levels and k_target >= 4 * phi.rank - 4
     if not complete and _doubled_index_now(phi, registry) >= 2 * (phi.rank - 1):
         # The doubled index is capped by 2(N-1), and adding points or classes
         # to a maximal collection can only violate that cap, so a sweep that

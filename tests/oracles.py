@@ -6,6 +6,7 @@ that way; these functions are the ground truth for the optimized paths.
 """
 
 import math
+import weakref
 from collections import deque
 
 from fgindex.errors import InvariantViolation
@@ -146,12 +147,45 @@ class _SignTracker:
             self.dq.append(y)
 
 
+def encode_block(seq, offset):
+    """The encoded block (enc, inv, flips) of a reduced word, as
+    fgindex.gamma._push_block takes it: letter x becomes chr(offset + x), inv
+    encodes the inverse word, and flips are the positions i where letters i-1
+    and i differ in sign."""
+    enc = "".join([chr(offset + x) for x in seq])
+    inv = "".join([chr(offset - x) for x in reversed(seq)])
+    flips = tuple(
+        i for i in range(1, len(seq)) if (seq[i - 1] > 0) != (seq[i] > 0)
+    )
+    return enc, inv, flips
+
+
+# Inverse letter images by map, {(a, k): phi^-k(a)}, for gamma_bound_by_letters.
+_INVERSE_IMAGES = weakref.WeakKeyDictionary()
+
+
+def inverse_letter_image(phi, a, k, budget=None):
+    """phi^-k(a) for a positive letter a, stepped up from the highest cached
+    level by substituting phi^-1, each new level charged as it is built and
+    cached per map, so a level is charged once per map as gamma_bound does."""
+    cache = _INVERSE_IMAGES.setdefault(phi, {})
+    i = k
+    while i > 0 and (a, i) not in cache:
+        i -= 1
+    word = cache[(a, i)] if i else (a,)
+    for j in range(i + 1, k + 1):
+        word = unapply_once(phi, word)
+        if budget is not None:
+            budget.charge(len(word))
+        cache[(a, j)] = word
+    return word
+
+
 def gamma_bound_by_letters(phi, k, side, budget=None):
     """gamma_bound with every preimage letter pushed through a deque.
 
     Same scan, same image calls and same budget charges as
     fgindex.gamma.gamma_bound, so both values and Budget.used must agree.
-    It neither reads nor fills phi.gamma_bound_cache.
     """
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
@@ -164,7 +198,7 @@ def gamma_bound_by_letters(phi, k, side, budget=None):
         else:
             order = range(0, len(image) - 1)
         for pos in order:
-            block = phi.inverse_letter_image(image[pos], k, budget)
+            block = inverse_letter_image(phi, image[pos], k, budget)
             if budget is not None:
                 budget.charge(len(block))
             if side == "minus":

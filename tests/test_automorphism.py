@@ -1,6 +1,6 @@
 import pytest
 
-from fgindex.automorphism import parse_automorphism, validate
+from fgindex.automorphism import load_automorphism, parse_automorphism, validate
 from fgindex.config import Budget
 from fgindex.errors import (
     BudgetExceeded,
@@ -10,9 +10,11 @@ from fgindex.errors import (
     ParseError,
 )
 from fgindex.families import cyclic_family
+from fgindex.gamma import _InverseBlocks, gamma_bound
 from fgindex.words import invert
 
 import oracles
+from conftest import aut_path
 
 ALL = ["rank3", "rank4", "fibonacci", "rank6", "rank14"]
 
@@ -77,11 +79,16 @@ def test_letter_image_matches_naive_substitution(phi):
 
 
 def test_inverse_letter_image_matches_naive_substitution(phi):
-    for a in phi.alphabet.letters():
-        for k in (1, 2):
-            assert phi.inverse_letter_image(a, k) == oracles.unapply_power(
-                phi, (a,), k
-            )
+    # gamma_bound's encoded blocks of phi^-k(a) and phi^-k(a^-1), from a
+    # table of their own, so that the shared map records no charged level.
+    blocks = _InverseBlocks(phi)
+    offset = phi.rank + 1
+    for k in (1, 2, 3):
+        for a in phi.alphabet.letters():
+            word = oracles.unapply_power(phi, (a,), k)
+            for x, w in ((a, word), (-a, invert(word))):
+                enc, inv, flips = blocks.read(x, k)
+                assert (enc, inv, tuple(flips)) == oracles.encode_block(w, offset)
 
 
 def test_apply_handles_mixed_words(phi):
@@ -129,8 +136,17 @@ def test_deep_letter_images_run_out_of_budget_not_stack():
     phi = cyclic_family(3)
     with pytest.raises(BudgetExceeded):
         phi.letter_image(1, 5000, Budget(10**4))
+    # The inverse blocks of gamma_bound likewise: the budget runs out while
+    # phi^-10 of the last letter of phi^20(a) is charged, and no level past
+    # that one has been built.
+    rank6 = load_automorphism(aut_path("rank6_cyclic"))
+    budget = Budget(10**6)
     with pytest.raises(BudgetExceeded):
-        phi.inverse_letter_image(1, 5000, Budget(10**4))
+        gamma_bound(rank6, 20, "minus", budget)
+    assert budget.used == 1101533
+    inverse = rank6.inverse_blocks
+    built = max(j for j, level in enumerate(inverse.levels) if level)
+    assert built == max(inverse.charged.values()) + 1 == 10
     fresh = cyclic_family(3)
     budget = Budget(10**7)
     fresh.letter_image(1, 3, budget)
@@ -146,10 +162,12 @@ def test_cycle_letters_are_computed_once():
 
 def test_word_image_length_adds_up(phi):
     u = tuple(phi.alphabet.letters())[:3]
-    for k in (1, 2, 5):
-        assert phi.word_image_length(u, k) == len(
-            oracles.apply_power(phi, u, k)
-        )
+    # Plus-side labels are inverted affixes, so pure negative words count too.
+    for word in (u, invert(u)):
+        for k in (1, 2, 5):
+            assert phi.word_image_length(word, k) == len(
+                oracles.apply_power(phi, word, k)
+            )
 
 
 def test_conjugator_power_satisfies_its_recurrence(phi):

@@ -1,6 +1,10 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
 
 from fgindex.cli import (
     EXIT_INTERNAL,
@@ -15,6 +19,7 @@ from fgindex.cli import (
 from fgindex.sgraph import to_dot
 
 from conftest import aut_path
+from strategies import positive_automorphisms
 
 RANK3 = str(aut_path("rank3"))
 RANK4 = str(aut_path("rank4"))
@@ -110,6 +115,90 @@ def test_index_rejects_bad_budget(capsys):
 def test_index_rejects_bad_max_k(capsys):
     assert main(["index", RANK3, "--max-k", "0"]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+
+
+# The sweep sums image lengths over its labels, and plus-side labels are
+# pure negative words; this map's run needs such a sum.
+NEGATIVE_LABEL_MAP = """\
+letters: a b c d
+map a = b
+map b = b a c d
+map c = c b a c
+map d = b a c
+inv a = a^-1 d d c^-1
+inv b = a
+inv c = c d^-1
+inv d = d^-1 b
+"""
+
+# At --max-k 3 the sweep finds only index 3/2 and reaches no ceiling; the
+# default level target 4N - 4 = 12 certifies index 3.
+LOW_TARGET_MAP = """\
+letters: a b c d
+map a = b
+map b = c b
+map c = a d b
+map d = a
+inv a = d
+inv b = a
+inv c = b a^-1
+inv d = d^-1 c a^-1
+"""
+
+
+def _write_map(tmp_path, text):
+    path = tmp_path / "map.aut"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_index_survives_negative_labels(tmp_path, capsys):
+    assert main(["index", _write_map(tmp_path, NEGATIVE_LABEL_MAP)]) == (
+        EXIT_TRUNCATED
+    )
+    assert "index: 5/2" in capsys.readouterr().out.splitlines()
+
+
+def test_index_low_level_target_is_truncated(tmp_path, capsys):
+    path = _write_map(tmp_path, LOW_TARGET_MAP)
+    assert main(["index", path, "--max-k", "3"]) == EXIT_TRUNCATED
+    captured = capsys.readouterr()
+    assert "complete: no" in captured.out.splitlines()
+    assert captured.err.strip() == (
+        "INCOMPLETE: sweep truncated (reached level 3 of 3; "
+        "level target 3 below 4N-4 = 12)"
+    )
+    assert main(["index", path]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "index: 3" in lines
+    assert "complete: yes" in lines
+
+
+def _aut_text(phi):
+    alphabet = phi.alphabet
+    lines = [f"letters: {' '.join(alphabet.names)}"]
+    for a in alphabet.letters():
+        name = alphabet.format_letter(a)
+        lines.append(f"map {name} = {alphabet.format_word(phi.images[a - 1])}")
+        lines.append(
+            f"inv {name} = {alphabet.format_word(phi.inverse_images[a - 1])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _doubled_index(path, budget):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["index", path, "--budget", str(budget)])
+    assert code in (EXIT_OK, EXIT_TRUNCATED)
+    return int(re.search(r"^doubled index: (\d+)$", out.getvalue(), re.M)[1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(positive_automorphisms())
+def test_index_never_crashes_on_drawn_maps(tmp_path_factory, phi):
+    path = _write_map(tmp_path_factory.mktemp("drawn"), _aut_text(phi))
+    assert _doubled_index(path, 10**6) >= _doubled_index(path, 10**5)
 
 
 # -- report --------------------------------------------------------------------

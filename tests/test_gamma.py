@@ -11,7 +11,6 @@ from fgindex.errors import BudgetExceeded, EmptyInput
 from fgindex.families import cyclic_family
 from fgindex.gamma import (
     Stream,
-    _encode_block,
     _push_block,
     all_matches,
     gamma_bound,
@@ -199,12 +198,6 @@ def test_gamma_bound_matches_definition(phi):
             )
 
 
-def test_gamma_bound_is_cached(fibonacci):
-    first = gamma_bound(fibonacci, 2, "minus")
-    assert fibonacci.gamma_bound_cache[(2, "minus")] == first
-    assert gamma_bound(fibonacci, 2, "minus") == first
-
-
 def test_gamma_bound_rejects_unknown_side(fibonacci):
     with pytest.raises(ValueError):
         gamma_bound(fibonacci, 1, "diagonal")
@@ -274,10 +267,10 @@ def test_push_block_is_free_reduction(drawn):
     offset = rank + 1
     zero = chr(offset)
     chunks = []
-    w = _push_block("", chunks, _encode_block(word, offset), zero)
+    w = _push_block("", chunks, oracles.encode_block(word, offset), zero)
     cur = word
     for block in blocks:
-        w = _push_block(w, chunks, _encode_block(block, offset), zero)
+        w = _push_block(w, chunks, oracles.encode_block(block, offset), zero)
         cur = oracles.reduce_word(cur + block)
         assert tuple(ord(ch) - offset for ch in w) == cur
         got = [base + fl[j] for base, fl, lo, hi in chunks for j in range(lo, hi)]
