@@ -40,6 +40,10 @@ INPUTS = (
         ("rank6_cyclic.k600", "rank6_cyclic", {"max_k": 600}),
         ("rank14_cyclic.k600", "rank14_cyclic", {"max_k": 600}),
     ]
+    + [
+        (f"{name}.early", name, {"early_exit": True})
+        for name in ("rank3", "rank4", "fibonacci")
+    ]
 )
 
 

@@ -197,7 +197,7 @@ class Automorphism:
 
     # -- growing rays for periodic points ------------------------------------
 
-    def ray_tail(self, c, cycle_len, need, budget=None):
+    def ray_tail(self, c, cycle_len, need):
         """Last `need` letters of the leftward-periodic ray ending in c.
 
         The ray is the limit of phi^(cycle_len * t)(c); each image ends with
@@ -206,7 +206,7 @@ class Automorphism:
         key = ("tail", c, cycle_len)
         word = self._ray_cache.get(key, (c,))
         while len(word) < need:
-            grown = self.apply(word, cycle_len, budget=budget)
+            grown = self.apply(word, cycle_len)
             if len(grown) == len(word):
                 raise CapExceeded("letter images do not grow under iteration")
             word = grown
@@ -215,12 +215,12 @@ class Automorphism:
         self._ray_cache[key] = word
         return word[-need:]
 
-    def ray_head(self, b, cycle_len, need, budget=None):
+    def ray_head(self, b, cycle_len, need):
         """First `need` letters of the rightward-periodic ray starting at b."""
         key = ("head", b, cycle_len)
         word = self._ray_cache.get(key, (b,))
         while len(word) < need:
-            grown = self.apply(word, cycle_len, budget=budget)
+            grown = self.apply(word, cycle_len)
             if len(grown) == len(word):
                 raise CapExceeded("letter images do not grow under iteration")
             word = grown

@@ -42,13 +42,11 @@ class Analysis:
 def analyze(phi, config):
     result = find_all(phi, config)
     sings = result.singularities
-    graph = sgraph.build_graph(phi, sings)
-    doubled = sgraph.fo_index(phi, sings, graph)
-    comps = sgraph.components(phi, sings, graph, with_basis=True)
-    reps = sgraph.attracting_reps(phi, sings, graph, comps)
-    return Analysis(
-        phi=phi, result=result, graph=graph, comps=comps, doubled=doubled, reps=reps
-    )
+    comps = sgraph.components(sings, result.graph)
+    for comp in comps:
+        comp.basis = sgraph.fixed_basis(phi, sings, comp)
+    reps = sgraph.attracting_reps(phi, sings, result.graph, comps)
+    return Analysis(phi, result, result.graph, comps, result.doubled, reps)
 
 
 def index_fraction(doubled):
@@ -270,7 +268,7 @@ def cmd_verify(args):
 
     def check_basis():
         for c in analysis.comps:
-            sgraph.fixed_basis(phi, result.singularities, graph, c.nodes)
+            sgraph.fixed_basis(phi, result.singularities, c)
 
     def check_labels():
         for s in result.singularities:
@@ -330,8 +328,15 @@ def _add_run_flags(sub):
     sub.add_argument("--dot", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    # Usage errors exit 1 through main: argparse's 2 means a truncated sweep.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fgindex",
         description="Index of a positive primitive free-group automorphism.",
     )
@@ -352,9 +357,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, VerificationFailed, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

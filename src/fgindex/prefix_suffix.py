@@ -287,7 +287,7 @@ class SymbolicPoint:
 
     # -- coordinate access ----------------------------------------------------
 
-    def window(self, lo, hi, budget=None):
+    def window(self, lo, hi):
         """Letters of the underlying bi-infinite word at positions [lo, hi)."""
         if lo >= hi:
             return EPSILON
@@ -298,27 +298,25 @@ class SymbolicPoint:
             phi = self.phi
             lc = phi.cycle_letters("last")[c]
             lb = phi.cycle_letters("first")[b]
-            left = (
-                phi.ray_tail(c, lc, -lo, budget) if lo < 0 else EPSILON
-            )
-            right = phi.ray_head(b, lb, hi, budget) if hi > 0 else EPSILON
+            left = phi.ray_tail(c, lc, -lo) if lo < 0 else EPSILON
+            right = phi.ray_head(b, lb, hi) if hi > 0 else EPSILON
             out = []
             if lo < 0:
                 out.extend(left[: min(hi, 0) - lo])
             if hi > 0:
                 out.extend(right[max(lo, 0): hi])
             return tuple(out)
-        u, v = self.expand(max(hi, 0) + max(-lo, 0) + 1, budget)
+        u, v = self.expand(max(hi, 0) + max(-lo, 0) + 1)
         out = []
         for pos in range(lo, hi):
             out.append(v[pos] if pos >= 0 else -u[-pos - 1])
         return tuple(out)
 
-    def expand(self, length, budget=None):
+    def expand(self, length):
         """First `length` letters of both coordinates of the point."""
         if self.kind() == "per":
-            u = invert(self.window(-length, 0, budget))
-            v = self.window(0, length, budget)
+            u = invert(self.window(-length, 0))
+            v = self.window(0, length)
             return u, v
         dev = self.dev()
         phi = self.phi
@@ -327,19 +325,19 @@ class SymbolicPoint:
         v = [dev.at(0).a]
         i = 0
         while len(v) < length and i < cap:
-            v.extend(phi.apply(dev.at(i).s, i, budget=budget))
+            v.extend(phi.apply(dev.at(i).s, i))
             i += 1
         u = []
         i = 0
         while len(u) < length and i < cap:
-            u.extend(invert(phi.apply(dev.at(i).p, i, budget=budget)))
+            u.extend(invert(phi.apply(dev.at(i).p, i)))
             i += 1
         if len(v) < length or len(u) < length:
             raise InvariantViolation("development failed to fill its rays")
         return tuple(u[:length]), tuple(v[:length])
 
-    def first_letters(self, budget=None):
-        u, v = self.expand(1, budget)
+    def first_letters(self):
+        u, v = self.expand(1)
         return u[0], v[0]
 
     def rho_power(self):
@@ -393,7 +391,7 @@ def periodic_point(phi, c, b, n=0):
     return point
 
 
-def complete_for_anchor(phi, t, shift, budget=None):
+def complete_for_anchor(phi, t, shift):
     """All points S^shift(W) over points W developing as the anchor t*.
 
     A generic anchor pins a single point.  A blank-sided anchor admits one
@@ -434,7 +432,7 @@ def _cycle_step(phi, side, letter, m):
     return out
 
 
-def apply_phi_power_key(phi, key, m, budget=None):
+def apply_phi_power_key(phi, key, m):
     """Key of the image of a point under m applications of the substitution.
 
     A shifted periodic point lands at the image length of its offset window;
@@ -449,10 +447,10 @@ def apply_phi_power_key(phi, key, m, budget=None):
         lens = phi.image_lengths(m)
         if n > 0:
             lb = phi.cycle_letters("first")[b]
-            window = phi.ray_head(b, lb, n, budget)
+            window = phi.ray_head(b, lb, n)
         else:
             lc = phi.cycle_letters("last")[c]
-            window = phi.ray_tail(c, lc, -n, budget)
+            window = phi.ray_tail(c, lc, -n)
         total = sum(lens[x - 1] for x in window)
         return ("per", c2, b2, total if n > 0 else -total)
     dev = _dev_from_key(key)
@@ -492,20 +490,20 @@ def shift_key(phi, key, delta):
     return ("dev",) + shift_dev(phi, _dev_from_key(key), delta).key()
 
 
-def point_fixed_by(phi, point, w, k, h, budget=None):
+def point_fixed_by(phi, point, w, k, h):
     """Whether the point is fixed by the h-th power of conj(w) . phi^k."""
-    wh = phi.conjugator_power(w, k, h, budget)
+    wh = phi.conjugator_power(w, k, h)
     key = point.key()
-    moved = apply_phi_power_key(phi, key, k * h, budget)
+    moved = apply_phi_power_key(phi, key, k * h)
     if wh == EPSILON:
         return moved == key
     d = len(wh)
     if wh[0] > 0:
         if moved != shift_key(phi, key, -d):
             return False
-        u, _ = point.expand(d, budget)
+        u, _ = point.expand(d)
         return u[:d] == invert(wh)
     if moved != shift_key(phi, key, d):
         return False
-    _, v = point.expand(d, budget)
+    _, v = point.expand(d)
     return v[:d] == invert(wh)

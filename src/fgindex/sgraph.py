@@ -31,11 +31,17 @@ class Graph:
 
 @dataclasses.dataclass
 class Component:
+    """One connected component, with the spanning tree union-find chose:
+    the tree path from the least node to every node, and the non-tree edges,
+    each closing one cycle.  `basis` is filled in by the caller."""
+
     nodes: list
-    edges: list
-    cycle_rank: int
-    attracting_classes: int
-    basis: list
+    edges: list = dataclasses.field(default_factory=list)
+    cycle_rank: int = 0
+    attracting_classes: int = 0
+    paths: dict = dataclasses.field(default_factory=dict)
+    extra: list = dataclasses.field(default_factory=list)
+    basis: list = dataclasses.field(default_factory=list)
 
 
 def _orbit_key(point):
@@ -62,14 +68,14 @@ def _orbit_pos(phi, point, depth):
     )
 
 
-def build_graph(phi, sings, budget=None):
+def build_graph(phi, sings):
     """Finite edges between orbit-consecutive singular points, and the
     leftover ray germs of every class as infinite edges."""
     node_classes = {}
     for s in sings:
         classes = set()
         for p in s.points.values():
-            u0, v0 = p.first_letters(budget)
+            u0, v0 = p.first_letters()
             classes.add(("minus", u0))
             classes.add(("plus", v0))
         node_classes[s.ident] = classes
@@ -94,7 +100,7 @@ def build_graph(phi, sings, budget=None):
             if s0.ident == s1.ident:
                 raise InvariantViolation("orbit returns to the same class")
             gap = t1 - t0
-            label = p0.window(0, gap, budget)
+            label = p0.window(0, gap)
             if purity(label) is not Purity.PURE_POSITIVE:
                 raise InvariantViolation("edge label strayed off the positive ray")
             edges.add((s0.ident, s1.ident, label))
@@ -136,7 +142,7 @@ def fo_index(phi, sings, graph):
         raise FormulaMismatch(
             f"germ count gives {by_germs}, point classes give {by_points}"
         )
-    comps = components(phi, sings, graph, with_basis=False)
+    comps = components(sings, graph)
     by_components = sum(
         2 * c.cycle_rank + c.attracting_classes - 2 for c in comps
     )
@@ -150,8 +156,13 @@ def fo_index(phi, sings, graph):
     return by_germs
 
 
-def components(phi, sings, graph, with_basis=True, budget=None):
-    """Connected components of the finite-edge graph, in node-id order."""
+def components(sings, graph):
+    """Connected components of the finite-edge graph, in node-id order.
+
+    One union-find pass over the edges in order, always rooting at the least
+    node, finds the components and a spanning tree of each: an edge joining
+    two roots is a tree edge, any other edge closes a cycle.
+    """
     parent = {s.ident: s.ident for s in sings}
 
     def find(x):
@@ -160,36 +171,29 @@ def components(phi, sings, graph, with_basis=True, budget=None):
             x = parent[x]
         return x
 
+    in_tree = []
     for (a, b, _) in graph.finite_edges:
         ra, rb = find(a), find(b)
+        in_tree.append(ra != rb)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    by_root = {}
-    for s in sings:
-        by_root.setdefault(find(s.ident), []).append(s.ident)
-    out = []
-    for root in sorted(by_root):
-        nodes = sorted(by_root[root])
-        edges = [e for e in graph.finite_edges if e[0] in nodes]
-        rank = len(edges) - len(nodes) + 1
-        if rank < 0:
-            raise InvariantViolation("component has fewer edges than a spanning tree")
-        att = sum(1 for (n, _) in graph.infinite_edges if n in nodes)
-        basis = (
-            fixed_basis(phi, sings, graph, nodes, budget) if with_basis else []
-        )
-        if with_basis and len(basis) != rank:
-            raise InvariantViolation("basis size disagrees with cycle rank")
-        out.append(
-            Component(
-                nodes=nodes,
-                edges=edges,
-                cycle_rank=rank,
-                attracting_classes=att,
-                basis=basis,
-            )
-        )
-    return out
+    by_root = {}  # visiting nodes in id order lists components by least node
+    for n in sorted(parent):
+        root = find(n)
+        if root not in by_root:
+            by_root[root] = Component(nodes=[])
+        by_root[root].nodes.append(n)
+    trees = {root: [] for root in by_root}
+    for e, spans in zip(graph.finite_edges, in_tree):
+        root = find(e[0])
+        by_root[root].edges.append(e)
+        (trees[root] if spans else by_root[root].extra).append(e)
+    for (n, _) in graph.infinite_edges:
+        by_root[find(n)].attracting_classes += 1
+    for root, comp in by_root.items():
+        comp.cycle_rank = len(comp.extra)
+        comp.paths = _tree_paths(comp.nodes, trees[root])
+    return list(by_root.values())
 
 
 def _tree_paths(nodes, tree_edges):
@@ -214,54 +218,28 @@ def _tree_paths(nodes, tree_edges):
     return words
 
 
-def _spanning_tree(nodes, edges):
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    extra = []
-    for e in edges:
-        ra, rb = find(e[0]), find(e[1])
-        if ra == rb:
-            extra.append(e)
-        else:
-            parent[max(ra, rb)] = min(ra, rb)
-            tree.append(e)
-    return tree, extra
-
-
-def fixed_basis(phi, sings, graph, nodes, budget=None):
+def fixed_basis(phi, sings, comp):
     """Basis of the free group carried by one component's cycles.
 
     Each non-tree edge closes a loop through the least node; the loop word
     must be fixed by the appropriate power of the component's smallest
     labeled map, or the whole computation is rejected.
     """
-    edges = [e for e in graph.finite_edges if e[0] in nodes]
-    tree, extra = _spanning_tree(nodes, edges)
-    if not extra:
+    if not comp.extra:
         return []
-    words = _tree_paths(nodes, tree)
     by_id = {s.ident: s for s in sings}
-    anchor = min(
-        (by_id[n] for n in nodes), key=lambda s: s.label.sort_key()
-    )
+    anchor = min((by_id[n] for n in comp.nodes), key=lambda s: s.label.sort_key())
     h = 1
-    for n in nodes:
-        h = math.lcm(h, fixing_power(phi, by_id[n], budget=budget))
+    for n in comp.nodes:
+        h = math.lcm(h, fixing_power(phi, by_id[n]))
     basis = []
     wl = anchor.label
-    wh = phi.conjugator_power(wl.w, wl.k, h, budget)
-    for (a, b, v) in extra:
-        u = concat(words[a], v, invert(words[b]))
+    wh = phi.conjugator_power(wl.w, wl.k, h)
+    for (a, b, v) in comp.extra:
+        u = concat(comp.paths[a], v, invert(comp.paths[b]))
         if purity(u) in (Purity.PURE_POSITIVE, Purity.PURE_NEGATIVE, Purity.EMPTY):
             raise InvariantViolation("cycle word is not mixed")
-        image = phi.apply(u, wl.k * h, budget=budget)
+        image = phi.apply(u, wl.k * h)
         back = concat(invert(wh), image, wh)
         if back != u:
             raise VerificationFailed(
@@ -276,9 +254,6 @@ def attracting_reps(phi, sings, graph, comps):
     by_id = {s.ident: s for s in sings}
     out = []
     for comp in comps:
-        edges = [e for e in graph.finite_edges if e[0] in comp.nodes]
-        tree, _ = _spanning_tree(comp.nodes, edges)
-        words = _tree_paths(comp.nodes, tree)
         for (node, (side, letter)) in graph.infinite_edges:
             if node not in comp.nodes:
                 continue
@@ -308,7 +283,7 @@ def attracting_reps(phi, sings, graph, comps):
                     "node": node,
                     "side": side,
                     "letter": letter,
-                    "path": words[node],
+                    "path": comp.paths[node],
                     "generator": generator,
                 }
             )

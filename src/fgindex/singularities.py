@@ -28,6 +28,9 @@ from .prefix_suffix import (
 )
 from .words import EPSILON, Purity, invert, purity, word_sort_key
 
+# Largest multiple of a point's base period tried as its fixing power.
+FIXING_POWER_CAP = 512
+
 
 @dataclasses.dataclass(frozen=True)
 class Label:
@@ -76,7 +79,7 @@ def label_power_compatible(phi, la, lb, budget=None):
     return wa == wb
 
 
-def _from_match_groups(phi, k, side, group_x, group_y, m, budget=None):
+def _from_match_groups(phi, k, side, group_x, group_y, m):
     """Points forced into one class when loops with affix x and loops with
     affix y first share a rotation value: m = (i, j, w) from all_matches."""
     i, j, w = m
@@ -86,9 +89,9 @@ def _from_match_groups(phi, k, side, group_x, group_y, m, budget=None):
         dx, dy = i + 1, j + 1
     pts = []
     for t in group_x:
-        pts.extend(complete_for_anchor(phi, t, dx, budget))
+        pts.extend(complete_for_anchor(phi, t, dx))
     for t in group_y:
-        pts.extend(complete_for_anchor(phi, t, dy, budget))
+        pts.extend(complete_for_anchor(phi, t, dy))
     return Singularity(Label(w, k), pts)
 
 
@@ -117,7 +120,7 @@ def merge(phi, registry, sing, budget=None):
     return registry
 
 
-def fixing_power(phi, sing, cap=512, budget=None):
+def fixing_power(phi, sing):
     """Least h with every point fixed by the h-th power of the labeled map."""
     if sing._fixing_power is not None:
         return sing._fixing_power
@@ -134,11 +137,11 @@ def fixing_power(phi, sing, cap=512, budget=None):
                 raise InvariantViolation(
                     "shifted periodic point under an untwisted label"
                 )
-            candidates = (h1 * t for t in range(1, cap + 1))
+            candidates = (h1 * t for t in range(1, FIXING_POWER_CAP + 1))
         else:
-            candidates = range(1, cap + 1)
+            candidates = range(1, FIXING_POWER_CAP + 1)
         for h in candidates:
-            if point_fixed_by(phi, p, w, k, h, budget):
+            if point_fixed_by(phi, p, w, k, h):
                 total = math.lcm(total, h)
                 break
         else:
@@ -190,6 +193,8 @@ class SweepResult:
     max_rho_power: int
     budget_used: int
     dropped: int
+    graph: object
+    doubled: int
 
 
 def _inverse_length_bounds(phi, prev):
@@ -214,29 +219,31 @@ def _level_estimate(phi, k, inv_bounds):
     return mat + gb + stream
 
 
-def _eps_level(phi, k, registry, budget):
-    """Match only the blank-sided loops: pure cycle arithmetic, no images."""
+def _merge_blank_class(phi, k, side, registry, budget):
+    """Merge level k's class of blank-affix loops on one side, if there are
+    two or more, by cycle arithmetic: a letter has a blank-prefix loop when
+    it lies on a first-letter cycle of length dividing k, and pairs with every
+    admissible left seed.  The plus side mirrors this with last letters."""
     heads = phi.cycle_letters("first")
     tails = phi.cycle_letters("last")
+    own, other = (heads, tails) if side == "minus" else (tails, heads)
+    anchors = sorted(a for a, l in own.items() if k % l == 0)
+    if len(anchors) < 2:
+        return
     admissible = two_factors(phi)
-    starters = sorted(b for b, l in heads.items() if k % l == 0)
-    if len(starters) >= 2:
-        pts = [
-            periodic_point(phi, c, b)
-            for b in starters
-            for c in sorted(tails)
-            if (c, b) in admissible
-        ]
-        merge(phi, registry, Singularity(Label(EPSILON, k), pts), budget)
-    enders = sorted(c for c, l in tails.items() if k % l == 0)
-    if len(enders) >= 2:
-        pts = [
-            periodic_point(phi, c, b)
-            for c in enders
-            for b in sorted(heads)
-            if (c, b) in admissible
-        ]
-        merge(phi, registry, Singularity(Label(EPSILON, k), pts), budget)
+    pairs = [
+        (x, a) if side == "minus" else (a, x)
+        for a in anchors
+        for x in sorted(other)
+    ]
+    pts = [periodic_point(phi, c, b) for c, b in pairs if (c, b) in admissible]
+    merge(phi, registry, Singularity(Label(EPSILON, k), pts), budget)
+
+
+def _eps_level(phi, k, registry):
+    """Match only the blank-sided loops: pure cycle arithmetic, no images."""
+    for side in ("minus", "plus"):
+        _merge_blank_class(phi, k, side, registry, None)
 
 
 def _full_level(phi, k, registry, budget):
@@ -249,45 +256,40 @@ def _full_level(phi, k, registry, budget):
         for t in level_loops:
             affix = t.p if side == "minus" else t.s
             groups.setdefault(affix, []).append(t)
-        eps_group = groups.pop(EPSILON, [])
-        if len(eps_group) >= 2:
-            m = (0, 0, EPSILON)
-            sing = _from_match_groups(
-                phi, k, side, eps_group[:1], eps_group[1:], m, budget
-            )
-            merge(phi, registry, sing, budget)
+        groups.pop(EPSILON, None)
+        _merge_blank_class(phi, k, side, registry, budget)
         for affix, grp in sorted(groups.items()):
             if len(grp) >= 2:
                 w = affix if side == "minus" else invert(affix)
-                sing = _from_match_groups(
-                    phi, k, side, grp[:1], grp[1:], (0, 0, w), budget
-                )
+                sing = _from_match_groups(phi, k, side, grp[:1], grp[1:], (0, 0, w))
                 merge(phi, registry, sing, budget)
         affixes = sorted(groups)
         found = all_matches(phi, k, side, affixes, budget)
         for (xi, yi), m in sorted(found.items()):
             sing = _from_match_groups(
-                phi, k, side, groups[affixes[xi]], groups[affixes[yi]], m, budget
+                phi, k, side, groups[affixes[xi]], groups[affixes[yi]], m
             )
             merge(phi, registry, sing, budget)
 
 
-def _doubled_index_now(phi, registry):
+def _staged(phi, registry):
+    """The genuine classes in label order, checked and numbered in place,
+    with their longest development period, their graph and doubled index."""
     from . import sgraph
 
-    # Numbers the live classes in place: graph building reads idents but never
-    # mutates a class, and find_all numbers the final classes afterwards.
-    valid = [s for s in _sorted_registry(registry) if _is_genuine(phi, s)]
-    if not valid:
-        return 0
-    for ident, s in enumerate(valid):
+    ordered = sorted(registry, key=lambda s: s.label.sort_key())
+    final = [s for s in ordered if _is_genuine(phi, s)]
+    _check_disjoint(final)
+    _check_labels(phi, final)
+    max_rho = max(
+        (p.rho_power() for s in final for p in s.points.values()), default=0
+    )
+    if max_rho > 4 * phi.rank - 4:
+        raise InvariantViolation("development period exceeded its bound")
+    for ident, s in enumerate(final):
         s.ident = ident
-    graph = sgraph.build_graph(phi, valid)
-    return sgraph.fo_index(phi, valid, graph)
-
-
-def _sorted_registry(registry):
-    return sorted(registry, key=lambda s: s.label.sort_key())
+    graph = sgraph.build_graph(phi, final)
+    return final, max_rho, graph, sgraph.fo_index(phi, final, graph)
 
 
 def find_all(phi, config):
@@ -299,64 +301,53 @@ def find_all(phi, config):
     """
     budget = config.make_budget()
     k_target = resolved_max_k(config, phi.rank)
+    ceiling = 2 * (phi.rank - 1)
     cap = config.level_cap()
     registry = []
     full_levels = []
     partial_levels = []
     early_exited = False
-    k_reached = 0
+    staged = None
     inv_bounds = [1] * phi.rank
     for k in range(1, k_target + 1):
         inv_bounds = _inverse_length_bounds(phi, inv_bounds)
         estimate = _level_estimate(phi, k, inv_bounds)
         if estimate > min(cap, budget.remaining):
-            _eps_level(phi, k, registry, None)
+            _eps_level(phi, k, registry)
             partial_levels.append(k)
-            k_reached = k
         else:
             try:
                 _full_level(phi, k, registry, budget)
                 full_levels.append(k)
-                k_reached = k
             except BudgetExceeded:
-                _eps_level(phi, k, registry, None)
+                _eps_level(phi, k, registry)
                 partial_levels.append(k)
-                k_reached = k
         if config.early_exit:
-            doubled = _doubled_index_now(phi, registry)
-            if doubled >= 2 * (phi.rank - 1):
+            staged = _staged(phi, registry)
+            if staged[3] >= ceiling:
                 early_exited = True
                 break
-    final = [s for s in _sorted_registry(registry) if _is_genuine(phi, s)]
-    dropped = len(registry) - len(final)
-    _check_disjoint(final)
-    _check_labels(phi, final)
-    max_rho = 0
-    for s in final:
-        for p in s.points.values():
-            r = p.rho_power()
-            if r > 4 * phi.rank - 4:
-                raise InvariantViolation("development period exceeded its bound")
-            max_rho = max(max_rho, r)
-    complete = not partial_levels and k_target >= 4 * phi.rank - 4
-    if not complete and _doubled_index_now(phi, registry) >= 2 * (phi.rank - 1):
-        # The doubled index is capped by 2(N-1), and adding points or classes
-        # to a maximal collection can only violate that cap, so a sweep that
-        # attains it has nothing left to find.
-        complete = True
-    for ident, s in enumerate(final):
-        s.ident = ident
+    # With early exit on, the last check already staged the final registry.
+    final, max_rho, graph, doubled = staged or _staged(phi, registry)
+    # The doubled index is capped by 2(N-1), and adding points or classes to a
+    # maximal collection can only violate that cap, so a sweep that attains it
+    # has nothing left to find.
+    complete = doubled >= ceiling or (
+        not partial_levels and k_target >= 4 * phi.rank - 4
+    )
     return SweepResult(
         singularities=final,
         complete=complete,
         k_target=k_target,
-        k_reached=k_reached,
+        k_reached=k,
         full_levels=full_levels,
         partial_levels=partial_levels,
         early_exited=early_exited,
         max_rho_power=max_rho,
         budget_used=config.budget - budget.remaining,
-        dropped=dropped,
+        dropped=len(registry) - len(final),
+        graph=graph,
+        doubled=doubled,
     )
 
 

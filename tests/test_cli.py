@@ -117,6 +117,30 @@ def test_index_rejects_bad_max_k(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", RANK3, "--max-k", "abc"],
+        ["index", RANK3, "--budget", "1e7"],
+        ["frobnicate", RANK3],
+        ["index"],
+        ["index", RANK3, "--no-such-flag"],
+        [],
+    ],
+)
+def test_usage_errors_exit_invalid(argv, capsys):
+    # Exit 2 is reserved for truncated sweeps.
+    assert main(argv) == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["index", "--help"])
+    assert info.value.code == 0
+    assert "--max-k" in capsys.readouterr().out
+
+
 # The sweep sums image lengths over its labels, and plus-side labels are
 # pure negative words; this map's run needs such a sum.
 NEGATIVE_LABEL_MAP = """\

@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgindex import sgraph
+from fgindex.automorphism import validate
+from fgindex.cli import analyze, report_dict
+from fgindex.config import RunConfig
 from fgindex.errors import UndefinedShift
 from fgindex.families import cyclic_family
 from fgindex.prefix_suffix import (
@@ -25,10 +28,11 @@ from fgindex.prefix_suffix import (
     point_fixed_by,
     shift_dev,
 )
-from fgindex.singularities import fixing_power
+from fgindex.singularities import find_all, fixing_power
 from fgindex.words import Purity, purity
 
 import oracles
+from strategies import positive_automorphisms
 
 RUN_NAMES = [
     "rank3",
@@ -293,3 +297,42 @@ def test_shift_roundtrip_on_drawn_loops(rank3, data):
     except UndefinedShift:
         return
     assert back == dev
+
+
+# -- metamorphic properties over drawn maps -------------------------------------
+
+
+def _fresh(phi):
+    # Image caches on a map lower later charges, so every run gets its own.
+    return validate(phi.alphabet, phi.images, phi.inverse_images)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(positive_automorphisms())
+def test_doubled_index_grows_with_level_target(phi):
+    doubled = [
+        find_all(_fresh(phi), RunConfig(max_k=m, budget=10**6)).doubled
+        for m in range(1, 4 * phi.rank - 3)
+    ]
+    assert doubled == sorted(doubled)
+
+
+CERTIFIED_FIELDS = (
+    "fo_index_times_2",
+    "singularities",
+    "graph",
+    "components",
+    "attracting_reps",
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(positive_automorphisms())
+def test_certified_run_survives_a_larger_budget(phi):
+    low = report_dict(analyze(_fresh(phi), RunConfig(budget=10**5)))
+    if not low["complete"]:
+        return
+    high = report_dict(analyze(_fresh(phi), RunConfig(budget=10**6)))
+    assert high["complete"]
+    for field in CERTIFIED_FIELDS:
+        assert high[field] == low[field], field

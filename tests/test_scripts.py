@@ -48,8 +48,8 @@ def test_report_digests_do_not_depend_on_hash_order():
     for out in runs:
         assert out.returncode == 0, out.stderr
     rows = runs[0].stdout.splitlines()
-    assert len(rows) == 18
-    assert len({row.split()[0] for row in rows}) == 18
+    assert len(rows) == 21
+    assert len({row.split()[0] for row in rows}) == 21
     assert runs[1].stdout == runs[0].stdout
     frozen = (ROOT / "tests" / "data" / "report_digests.txt").read_text("utf-8")
     assert runs[0].stdout == frozen

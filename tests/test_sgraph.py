@@ -1,5 +1,7 @@
 import pytest
 
+from fgindex import load_automorphism, sgraph
+from fgindex.cli import analyze
 from fgindex.config import RunConfig
 from fgindex.errors import FormulaMismatch
 from fgindex.sgraph import (
@@ -14,6 +16,7 @@ from fgindex.singularities import find_all
 from fgindex.words import purity, Purity
 
 import oracles
+from conftest import aut_path
 
 ANALYSES = [
     "rank3_analysis",
@@ -126,6 +129,23 @@ def test_node_germ_identity(analysis):
         assert len(g.node_classes[s.ident]) == len(g.claimed[s.ident]) + inf_here
 
 
+def test_analyze_builds_the_graph_once(monkeypatch):
+    # rank6_cyclic at max_k=10 is not certified by the level rule, so the
+    # sweep needs its index; analyze then reuses the sweep's graph.
+    calls = []
+    build = sgraph.build_graph
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sgraph, "build_graph", counted)
+    phi = load_automorphism(aut_path("rank6_cyclic"))
+    analysis = analyze(phi, RunConfig(max_k=10))
+    assert not analysis.result.complete
+    assert len(calls) == 1
+
+
 def test_graph_rebuild_is_stable(analysis):
     phi = analysis.phi
     again = build_graph(phi, analysis.result.singularities)
@@ -233,9 +253,7 @@ def test_basis_words_are_mixed_and_fixed(rank4_analysis, fibonacci_analysis):
 def test_fixed_basis_matches_component_output(rank4_analysis):
     phi = rank4_analysis.phi
     comp = rank4_analysis.comps[0]
-    again = fixed_basis(
-        phi, rank4_analysis.result.singularities, rank4_analysis.graph, comp.nodes
-    )
+    again = fixed_basis(phi, rank4_analysis.result.singularities, comp)
     assert again == comp.basis
 
 
