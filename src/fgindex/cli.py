@@ -41,8 +41,7 @@ class Analysis:
 
 def analyze(phi, config):
     result = find_all(phi, config)
-    sings = result.singularities
-    comps = sgraph.components(sings, result.graph)
+    sings, comps = result.singularities, result.components
     for comp in comps:
         comp.basis = sgraph.fixed_basis(phi, sings, comp)
     reps = sgraph.attracting_reps(phi, sings, result.graph, comps)
@@ -247,7 +246,7 @@ def cmd_verify(args):
             raise InvariantViolation("loop census mismatch at level 1")
 
     def check_formulas():
-        sgraph.fo_index(phi, result.singularities, graph)
+        sgraph.fo_index(phi, result.singularities, graph, analysis.comps)
 
     def check_bound():
         if analysis.doubled > 2 * (phi.rank - 1):

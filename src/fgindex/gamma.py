@@ -9,9 +9,6 @@ iteration must be pushed before giving up, so the search is finite.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
-
 from .errors import CapExceeded, InvariantViolation
 from .words import EPSILON, invert, require_nonempty
 
@@ -23,71 +20,58 @@ _B, _M = 1_000_003, (1 << 61) - 1
 # long before this for a primitive map.
 _STAR_CAP = 10_000
 
-# The sign change a block starts with when it joins a word of the other sign.
-_JUNCTION = (0,)
+# The bytes of positive and of negative letters, as _InverseBlocks encodes them.
+_POSITIVE, _NEGATIVE = bytes(range(128, 256)), bytes(range(128))
 
 
-def _push_block(w, chunks, block, zero):
-    """Freely reduce w . enc for an encoded block (enc, inv, flips), in the
-    encoding of _InverseBlocks.
+def _push_block(w, block, width):
+    """Freely reduce the bytearray w in place to w . enc, for an encoded block
+    (enc, inv) of width-byte letters, in the encoding of _InverseBlocks.
 
-    w and enc are reduced, so exactly the longest c with w[-c:] == inv[-c:]
-    cancels; cancelling is prefix-closed, so c is found by bisection on slice
-    equality.  chunks holds the sign changes of w as (base, flips, lo, hi):
-    positions base + flips[j] for lo <= j < hi, increasing, no chunk empty.
-    It is updated in place; the reduced word is returned.
+    w and enc are reduced, so exactly the longest c with w ending in the last
+    c letters of inv cancels; cancelling is prefix-closed, so c is found by
+    bisection on endswith, which compares without copying.
     """
-    enc, inv, flips = block
-    n = min(len(w), len(enc))
-    if n and w[-n:] == inv[-n:]:
+    enc, inv = block
+    inv, size = memoryview(inv), len(inv)
+    n = min(len(w), size) // width
+    if w.endswith(inv[size - n * width:]):
         c = n
     else:
         lo, hi = 0, n
         while hi - lo > 1:
+            # The last lo letters match: compare only the ones before them.
             mid = (lo + hi) // 2
-            if w[-mid:] == inv[-mid:]:
+            done = lo * width
+            if w.endswith(inv[size - mid * width: size - done], 0, len(w) - done):
                 lo = mid
             else:
                 hi = mid
         c = lo
-    m = len(w) - c
-    while chunks:
-        base, fl, lo, hi = chunks[-1]
-        if base + fl[hi - 1] < m:
-            break
-        cut = bisect_left(fl, m - base, lo, hi)
-        if cut > lo:
-            chunks[-1] = (base, fl, lo, cut)
-            break
-        chunks.pop()
-    if c < len(enc):
-        if m and (w[m - 1] > zero) != (enc[c] > zero):
-            chunks.append((m, _JUNCTION, 0, 1))
-        lo = bisect_right(flips, c)
-        if lo < len(flips):
-            chunks.append((m - c, flips, lo, len(flips)))
-    return w[:m] + enc[c:]
+    del w[len(w) - c * width:]
+    w += memoryview(enc)[c * width:]
 
 
 class _InverseBlocks:
-    """Encoded blocks (enc, inv, flips) of phi^-j(x) for signed letters x,
-    built on demand, one level from the one below, and kept on phi.
+    """Encoded blocks (enc, inv) of phi^-j(x) for signed letters x, built on
+    demand, one level from the one below, and kept on phi.
 
-    Letter x is chr(offset + x) with offset = rank + 1, so a letter is
-    positive exactly when its character is above chr(offset); flips are the
-    positions i where letters i-1 and i differ in sign.  Level j of c is the
-    reduced product, by _push_block, of the level j-1 blocks over the letters
-    of phi^-1(c); the block of c^-1 is its mirror, built alongside it.
+    A letter x is `width` bytes, the base-128 digits of |x| - 1 with the high
+    bit set when x is positive, so every byte carries its letter's sign; inv
+    encodes the inverse word.  Level j of c is the reduced product, by
+    _push_block, of the level j-1 blocks over the letters of phi^-1(c); the
+    block of c^-1 is built alongside it from the inverted letters in reverse.
     """
 
     def __init__(self, phi):
         # Not phi: a cycle through it would outlive phi's last reference.
         self.inverse_images = phi.inverse_images
-        offset = phi.rank + 1
-        self.zero = chr(offset)
-        signed = [x for a in phi.alphabet.letters() for x in (a, -a)]
-        letters = {x: (chr(offset + x), chr(offset - x), ()) for x in signed}
-        self.swap = str.maketrans({e: i for e, i, _ in letters.values()})
+        self.width = width = max(1, ((phi.rank - 1).bit_length() + 6) // 7)
+        letters = {}
+        for a in phi.alphabet.letters():
+            neg = bytes((a - 1) >> 7 * i & 0x7F for i in reversed(range(width)))
+            pos = bytes(b | 0x80 for b in neg)
+            letters[a], letters[-a] = (pos, neg), (neg, pos)
         self.levels = [letters]
         self.charged = {}  # the highest level of each letter charged so far
 
@@ -99,7 +83,7 @@ class _InverseBlocks:
         for j in range(self.charged.get(c, 0) + 1, k + 1):
             self._build(c, j)
             if budget is not None:
-                budget.charge(len(self.levels[j][c][0]))
+                budget.charge(len(self.levels[j][c][0]) // self.width)
             self.charged[c] = j
         return self.levels[k][x]
 
@@ -115,15 +99,13 @@ class _InverseBlocks:
             if missing:
                 stack += [(y, i)] + missing
                 continue
-            w, chunks = "", []
+            w, w_inv = bytearray(), bytearray()
             for x in word:
-                w = _push_block(w, chunks, prev[x], self.zero)
-            flips = array("q")
-            for base, fl, lo, hi in chunks:
-                flips.extend(map(base.__add__, fl[lo:hi]))
-            inv, n = w[::-1].translate(self.swap), len(w)
-            levels[i][y] = (w, inv, flips)
-            levels[i][-y] = (inv, w, array("q", map(n.__sub__, flips[::-1])))
+                _push_block(w, prev[x], self.width)
+            for x in reversed(word):
+                _push_block(w_inv, prev[-x], self.width)
+            enc, inv = bytes(w), bytes(w_inv)
+            levels[i][y], levels[i][-y] = (enc, inv), (inv, enc)
 
 
 def gamma_bound(phi, k, side, budget=None):
@@ -138,14 +120,16 @@ def gamma_bound(phi, k, side, budget=None):
         raise ValueError(f"bad side {side!r}")
     plus = side == "plus"
     inverse = phi.inverse_blocks = phi.inverse_blocks or _InverseBlocks(phi)
-    zero = inverse.zero
+    width = inverse.width
+    # w is the reduced preimage with its open end last: on the plus side as it
+    # is, qualifying as (positives+)(negatives); on the minus side, where
+    # blocks join on the left, its inverse, from the inverse blocks, qualifying
+    # as (negatives+)(positives).  head and end are the bytes of the two runs.
+    head, end = (_POSITIVE, _NEGATIVE) if plus else (_NEGATIVE, _POSITIVE)
     blocks, best = {}, 0
     for a in phi.alphabet.letters():
         image = phi.letter_image(a, k, budget)
-        # The reduced preimage is kept with its open end last: on the plus
-        # side as it is, on the minus side, where blocks join on the left, as
-        # its inverse, built from the inverse blocks with every sign swapped.
-        w, chunks = "", []
+        w = bytearray()
         order = range(len(image) - 1) if plus else range(len(image) - 1, 0, -1)
         for pos in order:
             c = image[pos]
@@ -153,17 +137,18 @@ def gamma_bound(phi, k, side, budget=None):
             if block is None:
                 block = blocks[c] = inverse.read(c if plus else -c, k, budget)
             if budget is not None:
-                budget.charge(len(block[0]))
-            w = _push_block(w, chunks, block, zero)
+                budget.charge(len(block[0]) // width)
+            _push_block(w, block, width)
             if not w:
                 raise InvariantViolation("affix preimage reduced to nothing")
-            # Qualifying: all positive, with overhang 0, which never raises
-            # best; or one sign change into a negative open end, whose length
-            # is the overhang.  Signs are swapped on the minus side.
-            if len(chunks) == 1 and (w[-1] > zero) != plus:
-                base, fl, lo, hi = chunks[0]
-                if hi - lo == 1:
-                    best = max(best, len(w) - base - fl[lo])
+            # Qualifying: all head, with overhang 0, which never raises best;
+            # or one sign change from the head into the open end, whose length
+            # is the overhang.  Only an open end longer than best is looked at.
+            tail = (best + 1) * width
+            if len(w) > tail and w[0] in head and not w[-tail:].lstrip(end):
+                rest = w.rstrip(end)
+                if not rest.lstrip(head):
+                    best = (len(w) - len(rest)) // width
     return best
 
 

@@ -127,8 +127,9 @@ def build_graph(phi, sings):
     )
 
 
-def fo_index(phi, sings, graph):
-    """Doubled index, computed two independent ways that must agree."""
+def fo_index(phi, sings, graph, comps):
+    """Doubled index, counted by germs, by point classes and by the
+    components comps of graph, which must all agree."""
     by_germs = sum(
         len(graph.node_classes[s.ident]) - 2 for s in sings
     )
@@ -142,7 +143,6 @@ def fo_index(phi, sings, graph):
         raise FormulaMismatch(
             f"germ count gives {by_germs}, point classes give {by_points}"
         )
-    comps = components(sings, graph)
     by_components = sum(
         2 * c.cycle_rank + c.attracting_classes - 2 for c in comps
     )

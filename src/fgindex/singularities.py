@@ -194,6 +194,7 @@ class SweepResult:
     budget_used: int
     dropped: int
     graph: object
+    components: list
     doubled: int
 
 
@@ -274,7 +275,8 @@ def _full_level(phi, k, registry, budget):
 
 def _staged(phi, registry):
     """The genuine classes in label order, checked and numbered in place,
-    with their longest development period, their graph and doubled index."""
+    with their longest development period, their graph, its components and
+    the doubled index."""
     from . import sgraph
 
     ordered = sorted(registry, key=lambda s: s.label.sort_key())
@@ -289,7 +291,8 @@ def _staged(phi, registry):
     for ident, s in enumerate(final):
         s.ident = ident
     graph = sgraph.build_graph(phi, final)
-    return final, max_rho, graph, sgraph.fo_index(phi, final, graph)
+    comps = sgraph.components(final, graph)
+    return final, max_rho, graph, comps, sgraph.fo_index(phi, final, graph, comps)
 
 
 def find_all(phi, config):
@@ -324,11 +327,11 @@ def find_all(phi, config):
                 partial_levels.append(k)
         if config.early_exit:
             staged = _staged(phi, registry)
-            if staged[3] >= ceiling:
+            if staged[-1] >= ceiling:
                 early_exited = True
                 break
     # With early exit on, the last check already staged the final registry.
-    final, max_rho, graph, doubled = staged or _staged(phi, registry)
+    final, max_rho, graph, comps, doubled = staged or _staged(phi, registry)
     # The doubled index is capped by 2(N-1), and adding points or classes to a
     # maximal collection can only violate that cap, so a sweep that attains it
     # has nothing left to find.
@@ -347,6 +350,7 @@ def find_all(phi, config):
         budget_used=config.budget - budget.remaining,
         dropped=len(registry) - len(final),
         graph=graph,
+        components=comps,
         doubled=doubled,
     )
 

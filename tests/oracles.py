@@ -147,17 +147,25 @@ class _SignTracker:
             self.dq.append(y)
 
 
-def encode_block(seq, offset):
-    """The encoded block (enc, inv, flips) of a reduced word, as
-    fgindex.gamma._push_block takes it: letter x becomes chr(offset + x), inv
-    encodes the inverse word, and flips are the positions i where letters i-1
-    and i differ in sign."""
-    enc = "".join([chr(offset + x) for x in seq])
-    inv = "".join([chr(offset - x) for x in reversed(seq)])
-    flips = tuple(
-        i for i in range(1, len(seq)) if (seq[i - 1] > 0) != (seq[i] > 0)
-    )
-    return enc, inv, flips
+def encode_block(seq, rank):
+    """The encoded block (enc, inv) of a reduced word, as
+    fgindex.gamma._push_block takes it: each letter x is the base-128 digits
+    of |x| - 1, as many as the largest letter of the rank needs, with the high
+    bit set when x is positive; inv encodes the inverse word."""
+    width = 1
+    while 128**width < rank:
+        width += 1
+
+    def letter(x):
+        v, digits = abs(x) - 1, []
+        for _ in range(width):
+            digits.append(v % 128 + (128 if x > 0 else 0))
+            v //= 128
+        return bytes(reversed(digits))
+
+    enc = b"".join([letter(x) for x in seq])
+    inv = b"".join([letter(-x) for x in reversed(seq)])
+    return enc, inv
 
 
 # Inverse letter images by map, {(a, k): phi^-k(a)}, for gamma_bound_by_letters.

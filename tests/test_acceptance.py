@@ -130,7 +130,7 @@ def test_cyclic_family_completes_with_bounded_index():
         assert a.result.complete
         assert not a.result.early_exited
         assert a.result.k_target == 4 * n - 4
-        again = sgraph.fo_index(phi, a.result.singularities, a.graph)
+        again = sgraph.fo_index(phi, a.result.singularities, a.graph, a.comps)
         assert again == a.doubled
         assert a.doubled // 2 <= n - 1
         record = a.result.max_rho_power

@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgindex.cli import (
     EXIT_INTERNAL,
@@ -223,6 +224,64 @@ def _doubled_index(path, budget):
 def test_index_never_crashes_on_drawn_maps(tmp_path_factory, phi):
     path = _write_map(tmp_path_factory.mktemp("drawn"), _aut_text(phi))
     assert _doubled_index(path, 10**6) >= _doubled_index(path, 10**5)
+
+
+@st.composite
+def mutated_aut_texts(draw):
+    """A bundled .aut text with one to three drawn edits: a line or a token
+    dropped or doubled, ^-1 appended to a token, a stray = or # put into a
+    line, or a byte order mark in front."""
+    name = draw(st.sampled_from(["rank3", "rank4", "fibonacci", "rank6_cyclic"]))
+    lines = aut_path(name).read_text("utf-8").splitlines()
+    bom = False
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(
+            st.sampled_from(
+                ["drop line", "double line", "drop token", "double token",
+                 "invert token", "stray", "bom"]
+            )
+        )
+        if edit == "bom":
+            bom = True
+            continue
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "drop line":
+            del lines[i]
+            continue
+        if edit == "double line":
+            lines.insert(i, lines[i])
+            continue
+        if edit == "stray":
+            at = draw(st.integers(0, len(lines[i])))
+            mark = draw(st.sampled_from(["=", "#"]))
+            lines[i] = lines[i][:at] + mark + lines[i][at:]
+            continue
+        tokens = lines[i].split()
+        if not tokens:
+            continue
+        j = draw(st.integers(0, len(tokens) - 1))
+        if edit == "drop token":
+            del tokens[j]
+        elif edit == "double token":
+            tokens.insert(j, tokens[j])
+        else:
+            tokens[j] += "^-1"
+        lines[i] = " ".join(tokens)
+    return ("\ufeff" if bom else "") + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_aut_texts())
+def test_check_rejects_every_malformed_text_cleanly(tmp_path_factory, text):
+    path = _write_map(tmp_path_factory.mktemp("mutated"), text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["check", path])
+    assert code in (EXIT_OK, EXIT_INVALID)
+    if code == EXIT_INVALID:
+        assert err.getvalue().startswith("error:")
 
 
 # -- report --------------------------------------------------------------------

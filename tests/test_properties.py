@@ -79,7 +79,9 @@ def all_runs(
 
 
 def test_index_formulas_agree(run):
-    again = sgraph.fo_index(run.phi, run.result.singularities, run.graph)
+    again = sgraph.fo_index(
+        run.phi, run.result.singularities, run.graph, run.comps
+    )
     assert again == run.doubled
 
 
@@ -336,3 +338,42 @@ def test_certified_run_survives_a_larger_budget(phi):
     assert high["complete"]
     for field in CERTIFIED_FIELDS:
         assert high[field] == low[field], field
+
+
+def _relabelled(phi, perm):
+    """phi conjugated by the generator permutation a -> perm[a - 1]."""
+
+    def move(word):
+        return tuple(perm[abs(x) - 1] if x > 0 else -perm[abs(x) - 1] for x in word)
+
+    images, inverse = [None] * phi.rank, [None] * phi.rank
+    for a in phi.alphabet.letters():
+        images[perm[a - 1] - 1] = move(phi.images[a - 1])
+        inverse[perm[a - 1] - 1] = move(phi.inverse_images[a - 1])
+    return validate(phi.alphabet, images, inverse)
+
+
+def _shape(result):
+    """Everything a sweep reports that no naming of the generators can move."""
+    return (
+        result.doubled,
+        result.complete,
+        result.full_levels,
+        result.partial_levels,
+        result.budget_used,
+        sorted(len(s.points) for s in result.singularities),
+        sorted(
+            (c.cycle_rank, c.attracting_classes, len(c.nodes))
+            for c in result.components
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(positive_automorphisms(), st.data())
+def test_relabelling_the_generators_moves_no_count(phi, data):
+    perm = data.draw(st.permutations(range(1, phi.rank + 1)), label="perm")
+    config = RunConfig(budget=10**6)
+    assert _shape(find_all(_fresh(phi), config)) == _shape(
+        find_all(_relabelled(phi, perm), config)
+    )

@@ -41,6 +41,15 @@ def test_family_growth_prints_a_row_per_rank():
     ]
 
 
+def test_forced_levels_prints_a_row_per_level():
+    out = run_script("forced_levels.py", "fibonacci", "3")
+    assert out.returncode == 0, out.stderr
+    header, *rows = [line.split("\t") for line in out.stdout.splitlines()]
+    assert header[:4] == ["level", "wall_s", "gamma_s", "letters"]
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    assert all(len(row) == len(header) for row in rows)
+
+
 def test_report_digests_do_not_depend_on_hash_order():
     # The seed-0 run must also match the frozen digests: a change that alters
     # a report on purpose regenerates the file and names the rows it changed.

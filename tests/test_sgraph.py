@@ -146,6 +146,20 @@ def test_analyze_builds_the_graph_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_builds_the_components_once(monkeypatch):
+    # The sweep's index check and analyze's bases read the same components.
+    calls = []
+    build = sgraph.components
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sgraph, "components", counted)
+    analyze(load_automorphism(aut_path("rank4")), RunConfig())
+    assert len(calls) == 1
+
+
 def test_graph_rebuild_is_stable(analysis):
     phi = analysis.phi
     again = build_graph(phi, analysis.result.singularities)
@@ -175,7 +189,10 @@ def test_doubled_index_values(
         assert analysis.doubled == expected
         assert analysis.doubled <= 2 * (analysis.phi.rank - 1)
         again = fo_index(
-            analysis.phi, analysis.result.singularities, analysis.graph
+            analysis.phi,
+            analysis.result.singularities,
+            analysis.graph,
+            analysis.comps,
         )
         assert again == expected
 
@@ -183,12 +200,13 @@ def test_doubled_index_values(
 def test_formula_mismatch_detected(fibonacci):
     result = find_all(fibonacci, RunConfig())
     graph = build_graph(fibonacci, result.singularities)
-    fo_index(fibonacci, result.singularities, graph)
+    comps = components(result.singularities, graph)
+    fo_index(fibonacci, result.singularities, graph, comps)
     broken = result.singularities[0]
     dropped_key = sorted(broken.points)[0]
     del broken.points[dropped_key]
     with pytest.raises(FormulaMismatch):
-        fo_index(fibonacci, result.singularities, graph)
+        fo_index(fibonacci, result.singularities, graph, comps)
 
 
 # -- components and bases ---------------------------------------------------------------
