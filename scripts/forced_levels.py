@@ -4,7 +4,8 @@
 Each level is one full-mode level of the sweep, with no level gate, on one
 fresh map and one letter budget of 10^14 for the whole run, so later levels
 reuse the images and inverse blocks the earlier ones built.  One row per
-level: its wall time, the wall time of its two gamma_bound calls, the
+level: its wall time, the wall time of its two gamma_bound calls and of its
+star_index calls (the stream layer's peel search up to each star index), the
 letters it charged (all of them, and gamma_bound's alone), the doubled index
 of the classes found so far, and the peak RSS of the process so far.
 
@@ -28,6 +29,7 @@ HEADER = (
     "level",
     "wall_s",
     "gamma_s",
+    "star_s",
     "letters",
     "gamma_letters",
     "doubled",
@@ -35,21 +37,23 @@ HEADER = (
 )
 
 
-class _TimedGammaBound:
-    """gamma.gamma_bound, adding up its wall time and letters charged."""
+class _Timed:
+    """A function of gamma, adding up its wall time and the letters it
+    charges to one budget."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, budget):
         self.inner = inner
+        self.budget = budget
         self.seconds = 0.0
         self.letters = 0
 
-    def __call__(self, phi, k, side, budget=None):
-        used, t0 = budget.used, time.perf_counter()
+    def __call__(self, *args):
+        used, t0 = self.budget.used, time.perf_counter()
         try:
-            return self.inner(phi, k, side, budget)
+            return self.inner(*args)
         finally:
             self.seconds += time.perf_counter() - t0
-            self.letters += budget.used - used
+            self.letters += self.budget.used - used
 
 
 def _peak_rss_mib():
@@ -58,12 +62,13 @@ def _peak_rss_mib():
 
 def forced_levels(phi, top):
     """Yield one row per level 1..top, as HEADER names them."""
-    timed = _TimedGammaBound(gamma.gamma_bound)
-    gamma.gamma_bound = timed
+    budget, registry = Budget(10**14), []
+    bound = _Timed(gamma.gamma_bound, budget)
+    star = _Timed(gamma.star_index, budget)
+    gamma.gamma_bound, gamma.star_index = bound, star
     try:
-        budget, registry = Budget(10**14), []
         for k in range(1, top + 1):
-            seconds, letters = timed.seconds, timed.letters
+            before = bound.seconds, star.seconds, bound.letters
             used, t0 = budget.used, time.perf_counter()
             _full_level(phi, k, registry, budget)
             wall = time.perf_counter() - t0
@@ -71,14 +76,15 @@ def forced_levels(phi, top):
             yield (
                 k,
                 f"{wall:.3f}",
-                f"{timed.seconds - seconds:.3f}",
+                f"{bound.seconds - before[0]:.3f}",
+                f"{star.seconds - before[1]:.3f}",
                 budget.used - used,
-                timed.letters - letters,
+                bound.letters - before[2],
                 doubled,
                 f"{_peak_rss_mib():.1f}",
             )
     finally:
-        gamma.gamma_bound = timed.inner
+        gamma.gamma_bound, gamma.star_index = bound.inner, star.inner
 
 
 def main(argv=None):

@@ -315,20 +315,19 @@ def _check_primitive(phi):
             if phi.incidence[a][b] > 0:
                 base[a] |= 1 << b
     full = (1 << n) - 1
-    cur = list(base)
     limit = (n - 1) ** 2 + 1 if n > 1 else 1
-    for _ in range(limit):
-        if all(row == full for row in cur):
-            return
-        cur = [
-            _bool_row_mul(cur[a], base, n) for a in range(n)
-        ]
-    if all(row == full for row in cur):
-        return
-    raise NotPrimitive(
-        f"no power of the incidence matrix is strictly positive "
-        f"(checked up to exponent {limit + 1})"
-    )
+    # If any power is strictly positive, the one at Wielandt's limit is, and
+    # so is every later one: no column is zero, since every image is
+    # nonempty.  So repeated squaring decides once it passes the limit.
+    cur, power = base, 1
+    while not all(row == full for row in cur):
+        if power >= limit:
+            raise NotPrimitive(
+                f"no power of the incidence matrix is strictly positive "
+                f"(checked up to exponent {limit + 1})"
+            )
+        cur = [_bool_row_mul(row, cur, n) for row in cur]
+        power *= 2
 
 
 def _bool_row_mul(row_mask, base, n):

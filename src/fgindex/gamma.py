@@ -9,6 +9,8 @@ iteration must be pushed before giving up, so the search is finite.
 
 from __future__ import annotations
 
+from array import array
+
 from .errors import CapExceeded, InvariantViolation
 from .words import EPSILON, invert, require_nonempty
 
@@ -108,6 +110,12 @@ class _InverseBlocks:
             levels[i][y], levels[i][-y] = (enc, inv), (inv, enc)
 
 
+def _inverse_blocks(phi):
+    """phi's _InverseBlocks, made on first use."""
+    phi.inverse_blocks = phi.inverse_blocks or _InverseBlocks(phi)
+    return phi.inverse_blocks
+
+
 def gamma_bound(phi, k, side, budget=None):
     """Largest mixed-sign overhang among qualifying affix preimages.
 
@@ -119,7 +127,7 @@ def gamma_bound(phi, k, side, budget=None):
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
     plus = side == "plus"
-    inverse = phi.inverse_blocks = phi.inverse_blocks or _InverseBlocks(phi)
+    inverse = _inverse_blocks(phi)
     width = inverse.width
     # w is the reduced preimage with its open end last: on the plus side as it
     # is, qualifying as (positives+)(negatives); on the minus side, where
@@ -152,66 +160,139 @@ def gamma_bound(phi, k, side, budget=None):
     return best
 
 
-def _hash(letters):
-    """Polynomial hash of a letter sequence, the one hash every window uses."""
-    h = 0
+def _prefix_hashes(letters):
+    """The polynomial hashes of every prefix of a letter sequence, empty
+    first: the one hash every window uses."""
+    out, h = array("Q", [0]), 0
     for x in letters:
         h = (h * _B + x) % _M
-    return h
+        out.append(h)
+    return out
+
+
+def _suffix_trie(blocks):
+    """Distinct nonempty blocks as a compressed trie on their reversed bytes.
+
+    A node is (n, block, children): every block below it ends with the same n
+    bytes, block is the one that is exactly those n bytes (or None), and
+    children is {byte: node}, keyed by the byte before those n.
+    """
+    shortest = min(blocks, key=len)
+    n = len(shortest)
+    for blk in blocks:
+        # The common suffix is the longest one of shortest that blk ends with.
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if blk.endswith(memoryview(shortest)[len(shortest) - mid:]):
+                lo = mid
+            else:
+                hi = mid - 1
+        n = lo
+    groups = {}
+    for blk in blocks:
+        if len(blk) > n:
+            groups.setdefault(blk[-n - 1], []).append(blk)
+    terminal = shortest if len(shortest) == n else None
+    return n, terminal, {b: _suffix_trie(group) for b, group in groups.items()}
 
 
 def _block_table(phi, k, side, budget=None):
-    """{c: (block, H(block), _B^|block| mod _M)} for every letter c, where the
-    block is phi^k(c) in stream order (reversed on the minus side), as a list.
+    """(table, trie) for the blocks phi^k(c) of every letter c in stream order
+    (reversed on the minus side), letters encoded as _InverseBlocks encodes
+    them.
+
+    table is {code: (c, block, n, H(block), _B^n, _B^(n-1), prefix hashes)}:
+    code is the encoding of c read as a big-endian integer, n counts the
+    block's letters, the powers are mod _M, and the prefix hashes are those
+    of the block's letters.  trie is the blocks' _suffix_trie.
 
     Built per call, never stored on phi: it holds hashes under the modulus in
     force when it was made.
     """
+    letters = _inverse_blocks(phi).levels[0]
     table = {}
     for c in phi.alphabet.letters():
         img = phi.letter_image(c, k, budget)
-        blk = list(img) if side == "plus" else list(reversed(img))
-        table[c] = (blk, _hash(blk), pow(_B, len(blk), _M))
-    return table
+        if side == "minus":
+            img = img[::-1]
+        prefix = _prefix_hashes(img)
+        blk = b"".join([letters[x][0] for x in img])
+        table[int.from_bytes(letters[c][0], "big")] = (
+            c, blk, len(img), prefix[-1], pow(_B, len(img), _M),
+            pow(_B, len(img) - 1, _M), prefix,
+        )
+    return table, _suffix_trie([entry[1] for entry in table.values()])
 
 
 class Stream:
     """Lazy rotation orbit of one affix, with the hashes of its windows.
 
-    Rotation always consumes at the front of the stored array and appends the
+    Rotation always consumes at the front of the stored bytes and appends the
     substituted block at the back; the minus side stores words reversed so
-    both sides share this shape.  Window i (the i-th rotation value, in
-    stream coordinates) is data[i : i + lens[i]].  Windows start at 0..steps
-    and each ends one block after the previous one, so the stream keeps one
-    prefix hash per start and one per end, the latter composed a block at a
-    time from the block table: H(x . blk) = H(x) * B^|blk| + H(blk).
+    both sides share this shape.  Letters are `width` bytes each, encoded as
+    _InverseBlocks encodes them; positions, lengths and hashes count letters.
+    Window i (the i-th rotation value, in stream coordinates) is the letters
+    i .. i + lens[i] - 1.  Windows start at 0..steps and each ends one block
+    after the previous one, so the stream keeps one prefix hash per start and
+    one per end, the latter composed a block at a time from the block table:
+    H(x . blk) = H(x) * B^|blk| + H(blk).  It also keeps B^lens[i], which a
+    step multiplies by B^(|blk| - 1).
+
+    Any positive word can start a stream.  When the start is the stream-order
+    suffix of the block of a known letter, as every loop affix is of its loop
+    letter's block, its bytes and its hash are sliced from the table instead.
     """
 
-    def __init__(self, phi, k, side, start, budget=None, table=None):
-        require_nonempty(tuple(start), "stream start")
+    def __init__(self, phi, k, side, start, budget=None, table=None, letter=None):
+        start = tuple(start)
+        require_nonempty(start, "stream start")
         self.side = side
         self.budget = budget
+        inverse = _inverse_blocks(phi)
+        letters, width = inverse.levels[0], inverse.width
+        self.width = width
         if table is None:
             table = _block_table(phi, k, side, budget)
-        self.table = table
-        self.data = list(start) if side == "plus" else list(reversed(start))
-        self.lens = [len(self.data)]
+        self.table, self.trie = table
+        n = len(start)
+        shift = pow(_B, n, _M)
+        if letter is None:
+            word = start if side == "plus" else start[::-1]
+            self.data = bytearray(b"".join([letters[x][0] for x in word]))
+            h = _prefix_hashes(word)[-1]
+        else:
+            code = int.from_bytes(letters[letter][0], "big")
+            _, blk, m, _, _, _, prefix = self.table[code]
+            if n >= m:
+                raise InvariantViolation("affix is not a suffix of its loop block")
+            self.data = bytearray(memoryview(blk)[(m - n) * width:])
+            h = (prefix[m] - prefix[m - n] * shift) % _M
+        self.lens = [n]
         self._start_h = [0]
-        self._end_h = [_hash(self.data)]
+        self._end_h = [h]
+        self._shift = [shift]
 
     def steps(self):
         return len(self.lens) - 1
 
+    def _code(self, t):
+        """The table key of stored letter t."""
+        w = self.width
+        if w == 1:
+            return self.data[t]
+        return int.from_bytes(self.data[t * w:(t + 1) * w], "big")
+
     def _advance(self):
         t = len(self.lens) - 1
-        x = self.data[t]
-        blk, h, p = self.table[x]
+        x, blk, n, h, p, q, _ = self.table[self._code(t)]
         if self.budget is not None:
-            self.budget.charge(len(blk))
-        self.data.extend(blk)
+            self.budget.charge(n)
+        self.data += blk
         self._start_h.append((self._start_h[t] * _B + x) % _M)
         self._end_h.append((self._end_h[t] * p + h) % _M)
-        self.lens.append(self.lens[t] - 1 + len(blk))
+        self._shift.append(self._shift[t] * q % _M)
+        self.lens.append(self.lens[t] - 1 + n)
 
     def ensure_steps(self, i):
         while self.steps() < i:
@@ -224,50 +305,58 @@ class Stream:
 
     def window_hash(self, i):
         n = self.lens[i]
-        return (n, (self._end_h[i] - self._start_h[i] * pow(_B, n, _M)) % _M)
+        return (n, (self._end_h[i] - self._start_h[i] * self._shift[i]) % _M)
 
     def window_equal(self, i, other, j):
-        if self.lens[i] != other.lens[j]:
+        n = self.lens[i]
+        if n != other.lens[j]:
             return False
-        return (
-            self.data[i: i + self.lens[i]]
-            == other.data[j: j + other.lens[j]]
-        )
+        w = self.width
+        return self.data[i * w:(i + n) * w] == other.data[j * w:(j + n) * w]
 
     def word_at(self, i):
         """The i-th rotation value as an actual word."""
-        raw = self.data[i: i + self.lens[i]]
+        raw = [self.table[self._code(t)][0] for t in range(i, i + self.lens[i])]
         if self.side == "minus":
-            raw = reversed(raw)
+            raw.reverse()
         return tuple(raw)
 
 
 def _peelable(stream, i, depth_needed):
     """Can more than depth_needed full letter images be peeled off the
-    substituted end of window i, leaving a pure positive remainder?"""
-    lens_i = stream.lens[i]
-    end = i + lens_i
+    substituted end of window i, leaving a pure positive remainder?
+
+    Any parse counts, not only the one the rotation appended.  Positions are
+    letter-aligned byte offsets into the stream.  The blocks that can end at
+    a position are found by walking the suffix trie back from it; endswith,
+    bounded below by the window's start, compares each in place and fails
+    when it does not fit.  A block that fails stops the walk, since every
+    block below it in the trie ends with it.
+    """
+    w = stream.width
+    start, end = i * w, (i + stream.lens[i]) * w
     data = stream.data
-    blocks = [blk for blk, _, _ in stream.table.values()]
-    reached = {0: 0}
-    frontier = [0]
+    reached = {end: 0}
+    frontier = [end]
     while frontier:
         new_frontier = []
-        for off in frontier:
-            depth = reached[off]
-            for blk in blocks:
-                w = len(blk)
-                if off + w > lens_i:
-                    continue
-                if data[end - off - w: end - off] != blk:
-                    continue
-                nxt = off + w
-                if nxt in reached and reached[nxt] >= depth + 1:
-                    continue
-                reached[nxt] = depth + 1
-                if depth + 1 > depth_needed:
-                    return True
-                new_frontier.append(nxt)
+        for pos in frontier:
+            depth = reached[pos] + 1
+            node = stream.trie
+            while node is not None:
+                n, blk, children = node
+                if blk is not None:
+                    if not data.endswith(blk, start, pos):
+                        break
+                    nxt = pos - n
+                    if reached.get(nxt, -1) < depth:
+                        reached[nxt] = depth
+                        if depth > depth_needed:
+                            return True
+                        new_frontier.append(nxt)
+                if pos - n <= start:
+                    break
+                node = children.get(data[pos - n - 1])
         frontier = new_frontier
     return False
 
@@ -303,12 +392,16 @@ def _root_of(sx, m, sy, n):
     return m, n
 
 
-def all_matches(phi, k, side, affixes, budget=None):
+def all_matches(phi, k, side, affixes, budget=None, letters=None):
     """Minimal matches for every unordered pair of distinct nonempty affixes.
 
     Shares one stream per affix and one hash join across all windows, so the
     whole level costs little more than growing each stream to the common
     horizon.  Returns {(xi, yi): (i, j, w)} indexed by affix positions.
+
+    letters, when given, holds for each affix the letter a of a loop
+    phi^k(a) = p a s with that affix (p on the minus side, s on the plus
+    side); each stream then slices its start from a's block.
     """
     affixes = list(affixes)
     if any(a == EPSILON for a in affixes):
@@ -317,7 +410,11 @@ def all_matches(phi, k, side, affixes, budget=None):
         return {}
     g = gamma_bound(phi, k, side, budget)
     table = _block_table(phi, k, side, budget)
-    streams = [Stream(phi, k, side, a, budget, table) for a in affixes]
+    if letters is None:
+        letters = [None] * len(affixes)
+    streams = [
+        Stream(phi, k, side, a, budget, table, c) for a, c in zip(affixes, letters)
+    ]
     stars = [star_index(phi, k, side, s, g, budget) for s in streams]
     horizon = max(s.lens[i] for s, i in zip(streams, stars))
     for s in streams:

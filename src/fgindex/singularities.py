@@ -259,13 +259,16 @@ def _full_level(phi, k, registry, budget):
             groups.setdefault(affix, []).append(t)
         groups.pop(EPSILON, None)
         _merge_blank_class(phi, k, side, registry, budget)
-        for affix, grp in sorted(groups.items()):
+        affixes = sorted(groups)
+        for affix in affixes:
+            grp = groups[affix]
             if len(grp) >= 2:
                 w = affix if side == "minus" else invert(affix)
                 sing = _from_match_groups(phi, k, side, grp[:1], grp[1:], (0, 0, w))
                 merge(phi, registry, sing, budget)
-        affixes = sorted(groups)
-        found = all_matches(phi, k, side, affixes, budget)
+        found = all_matches(
+            phi, k, side, affixes, budget, [groups[a][0].a for a in affixes]
+        )
         for (xi, yi), m in sorted(found.items()):
             sing = _from_match_groups(
                 phi, k, side, groups[affixes[xi]], groups[affixes[yi]], m

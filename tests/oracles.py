@@ -9,7 +9,7 @@ import math
 import weakref
 from collections import deque
 
-from fgindex.errors import InvariantViolation
+from fgindex.errors import InvariantViolation, NotPrimitive
 from fgindex.gamma import _B, _M
 from fgindex.prefix_suffix import Triplet, apply_phi_power_key, two_factors
 from fgindex.words import EPSILON, concat, invert, require_nonempty
@@ -374,6 +374,48 @@ class StreamByLetters:
         return tuple(raw)
 
 
+def peelable_by_letters(stream, i, depth_needed):
+    """Can more than depth_needed full letter images be peeled off the
+    substituted end of window i of a StreamByLetters, leaving a pure positive
+    remainder?  A breadth-first search over every parse, one list slice per
+    block and offset: the reference for gamma._peelable."""
+    lens_i = stream.lens[i]
+    end = i + lens_i
+    data = stream.data
+    blocks = [list(stream.block(c)) for c in stream.phi.alphabet.letters()]
+    reached = {0: 0}
+    frontier = [0]
+    while frontier:
+        new_frontier = []
+        for off in frontier:
+            depth = reached[off]
+            for blk in blocks:
+                w = len(blk)
+                if off + w > lens_i:
+                    continue
+                if data[end - off - w: end - off] != blk:
+                    continue
+                nxt = off + w
+                if nxt in reached and reached[nxt] >= depth + 1:
+                    continue
+                reached[nxt] = depth + 1
+                if depth + 1 > depth_needed:
+                    return True
+                new_frontier.append(nxt)
+        frontier = new_frontier
+    return False
+
+
+def natural_peel_depth(stream, i):
+    """How many of the blocks the rotation appended, last first, lie whole
+    inside window i of a StreamByLetters: the depth of the natural parse."""
+    depth = 0
+    # The block appended at step t starts at letter t + lens[t].
+    while depth < i and i - depth - 1 + stream.lens[i - depth - 1] >= i:
+        depth += 1
+    return depth
+
+
 def two_factor_scan(phi, cap=40, length_cap=300_000):
     """Two-letter factors of high images, scanned until stable."""
     prev = None
@@ -486,6 +528,39 @@ def minimal_phi_power(phi, point, cap=10**6):
         if apply_phi_power_key(phi, key, m) == key:
             return m
     return None
+
+
+def check_primitive_by_stepping(phi):
+    """automorphism._check_primitive one power at a time: raise NotPrimitive
+    unless some power of the incidence matrix up to exponent
+    (N-1)^2 + 2 is strictly positive."""
+    n = phi.rank
+    base = [0] * n
+    for a in range(n):
+        for b in range(n):
+            if phi.incidence[a][b] > 0:
+                base[a] |= 1 << b
+    full = (1 << n) - 1
+    cur = list(base)
+    limit = (n - 1) ** 2 + 1 if n > 1 else 1
+    for _ in range(limit):
+        if all(row == full for row in cur):
+            return
+        cur = [_bool_row_mul(cur[a], base, n) for a in range(n)]
+    if all(row == full for row in cur):
+        return
+    raise NotPrimitive(
+        f"no power of the incidence matrix is strictly positive "
+        f"(checked up to exponent {limit + 1})"
+    )
+
+
+def _bool_row_mul(row_mask, base, n):
+    out = 0
+    for c in range(n):
+        if row_mask >> c & 1:
+            out |= base[c]
+    return out
 
 
 # -- the level gate's tables, recomputed the slow way ---------------------------

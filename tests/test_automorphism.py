@@ -1,6 +1,14 @@
+import random
+import types
+
 import pytest
 
-from fgindex.automorphism import load_automorphism, parse_automorphism, validate
+from fgindex.automorphism import (
+    _check_primitive,
+    load_automorphism,
+    parse_automorphism,
+    validate,
+)
 from fgindex.config import Budget
 from fgindex.errors import (
     BudgetExceeded,
@@ -70,6 +78,40 @@ def test_validate_rejects_imprimitive_map():
     )
     with pytest.raises(NotPrimitive):
         validate(*parse_automorphism(text))
+
+
+def _primitivity(check, incidence):
+    """None if check accepts the matrix, else its NotPrimitive message."""
+    try:
+        check(types.SimpleNamespace(rank=len(incidence), incidence=incidence))
+    except NotPrimitive as exc:
+        return str(exc)
+    return None
+
+
+def test_primitivity_check_matches_stepping_on_random_matrices():
+    rng = random.Random(0)
+    # Wielandt's matrices reach strict positivity only at (n-1)^2 + 1.
+    matrices = [
+        [
+            [int(b == a + 1 or (a == n - 1 and b < 2)) for b in range(n)]
+            for a in range(n)
+        ]
+        for n in range(1, 9)
+    ]
+    for _ in range(600):
+        n, density = rng.randint(1, 8), rng.choice((0.15, 0.3, 0.5))
+        matrices.append(
+            [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+        )
+    verdicts = [
+        _primitivity(_check_primitive, m)
+        == _primitivity(oracles.check_primitive_by_stepping, m)
+        for m in matrices
+    ]
+    assert all(verdicts)
+    accepted = sum(_primitivity(_check_primitive, m) is None for m in matrices)
+    assert 50 < accepted < len(matrices) - 50
 
 
 def test_letter_image_matches_naive_substitution(phi):

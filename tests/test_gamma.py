@@ -11,6 +11,7 @@ from fgindex.errors import BudgetExceeded, EmptyInput
 from fgindex.families import cyclic_family
 from fgindex.gamma import (
     Stream,
+    _peelable,
     _push_block,
     all_matches,
     gamma_bound,
@@ -135,6 +136,31 @@ def test_hash_collisions_cannot_change_a_match(phi, monkeypatch):
     assert any(len(words) > 1 for words in by_hash.values())
 
 
+def test_stream_started_from_its_loop_block_is_the_same_stream(phi):
+    # A loop affix is the stream-order end of its loop letter's block, so a
+    # stream sliced from that block must be the one built from the word.
+    for k in (1, 2, 3):
+        for side in SIDES:
+            loops_by_affix = {}
+            for t in loops(phi, k):
+                affix = t.p if side == "minus" else t.s
+                if affix != EPSILON:
+                    loops_by_affix.setdefault(affix, t.a)
+            for u, a in loops_by_affix.items():
+                sliced = Stream(phi, k, side, u, letter=a)
+                built = Stream(phi, k, side, u)
+                sliced.ensure_steps(4)
+                built.ensure_steps(4)
+                assert sliced.data == built.data
+                assert [sliced.window_hash(i) for i in range(5)] == [
+                    built.window_hash(i) for i in range(5)
+                ]
+            seeds = sorted(loops_by_affix)
+            assert all_matches(
+                phi, k, side, seeds, letters=[loops_by_affix[u] for u in seeds]
+            ) == all_matches(phi, k, side, seeds)
+
+
 def test_stream_window_equal_is_word_equality(rank3):
     seeds = affixes(rank3, 2, "plus")
     sa = Stream(rank3, 2, "plus", seeds[0])
@@ -151,9 +177,11 @@ def test_stream_window_equal_is_word_equality(rank3):
 def _assert_streams_match_letter_reference(phi, k_max=3, steps=12):
     # Window hashes composed a block at a time must equal the per-letter
     # prefix hashes, both when grown step by step and by length.
+    # The top letters too, which at rank 129 take the high digit.
+    top = [(phi.rank,), (phi.rank - 1, phi.rank)]
     for k in range(1, k_max + 1):
         for side in SIDES:
-            for u in affixes(phi, k, side):
+            for u in affixes(phi, k, side) + top:
                 by_steps = Stream(phi, k, side, u)
                 ref = oracles.StreamByLetters(phi, k, side, u)
                 by_steps.ensure_steps(steps)
@@ -169,12 +197,14 @@ def _assert_streams_match_letter_reference(phi, k_max=3, steps=12):
                         assert stream.word_at(i) == expected.word_at(i)
 
 
+# Ranks 128 and 129 are the last with one-byte letters and the first with two.
 @pytest.mark.parametrize(
     "name", ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
-    + [f"family{n}" for n in range(2, 7)]
+    + [f"family{n}" for n in (2, 3, 4, 5, 6, 128, 129)]
 )
 def test_stream_matches_letter_reference(name):
-    _assert_streams_match_letter_reference(fresh_map(name))
+    phi = fresh_map(name)
+    _assert_streams_match_letter_reference(phi, 2 if phi.rank > 100 else 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -235,8 +265,8 @@ def test_gamma_bound_matches_letter_reference(name, top):
 # Ranks 128 and 129 are the last with one-byte letters and the first with two.
 @pytest.mark.parametrize("rank", [128, 129])
 def test_gamma_bound_matches_letter_reference_at_wide_ranks(rank):
-    # Building a map this wide takes most of a second, so both sides share
-    # one pair; each scan still makes the same image calls on either map.
+    # Both sides share one pair of maps; each scan still makes the same image
+    # calls on either map.
     phi, ref = cyclic_family(rank), cyclic_family(rank)
     for side in SIDES:
         for k in (1, 2, 3, rank):
@@ -312,6 +342,49 @@ def test_star_index_matches_direct_search(phi):
                 stream = Stream(phi, k, side, u)
                 got = star_index(phi, k, side, stream, g)
                 assert got == oracles.star_scan(phi, k, side, u, g)
+
+
+def _assert_peel_matches_letter_reference(phi, k_max=3):
+    """_peelable against the list-slice reference at every step up to the
+    star index, at the bound and one past it.  Returns how many steps peel
+    deeper than the bound only through a parse that is not the natural one."""
+    unnatural = 0
+    for k in range(1, k_max + 1):
+        for side in SIDES:
+            g = gamma_bound(phi, k, side)
+            for u in affixes(phi, k, side):
+                stream = Stream(phi, k, side, u)
+                star = star_index(phi, k, side, stream, g)
+                ref = oracles.StreamByLetters(phi, k, side, u)
+                ref.ensure_steps(star)
+                for i in range(1, star + 1):
+                    natural = oracles.natural_peel_depth(ref, i)
+                    for depth in (g, g + 1):
+                        got = _peelable(stream, i, depth)
+                        assert got == oracles.peelable_by_letters(ref, i, depth)
+                        unnatural += got and natural <= depth
+    return unnatural
+
+
+@pytest.mark.parametrize(
+    "name", ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
+    + [f"family{n}" for n in range(2, 7)]
+)
+def test_peel_matches_letter_reference(name):
+    _assert_peel_matches_letter_reference(fresh_map(name))
+
+
+def test_peel_accepts_a_parse_that_is_not_the_natural_one():
+    assert _assert_peel_matches_letter_reference(fresh_map("rank14_cyclic")) > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(positive_automorphisms())
+def test_peel_matches_letter_reference_on_drawn_automorphisms(phi):
+    k_max = 0
+    while k_max < 3 and max(phi.image_lengths(k_max + 1)) <= 100:
+        k_max += 1
+    _assert_peel_matches_letter_reference(phi, k_max)
 
 
 # -- rotation matching ---------------------------------------------------------------

@@ -45,7 +45,16 @@ def test_forced_levels_prints_a_row_per_level():
     out = run_script("forced_levels.py", "fibonacci", "3")
     assert out.returncode == 0, out.stderr
     header, *rows = [line.split("\t") for line in out.stdout.splitlines()]
-    assert header[:4] == ["level", "wall_s", "gamma_s", "letters"]
+    assert header == [
+        "level",
+        "wall_s",
+        "gamma_s",
+        "star_s",
+        "letters",
+        "gamma_letters",
+        "doubled",
+        "peak_rss_mib",
+    ]
     assert [row[0] for row in rows] == ["1", "2", "3"]
     assert all(len(row) == len(header) for row in rows)
 
