@@ -137,20 +137,13 @@ class Automorphism:
             if budget is not None:
                 budget.charge(len(out))
             return tuple(out)
+        table = (
+            self.image_of_letter
+            if direction == "forward"
+            else self.inverse_image_of_letter
+        )
         for _ in range(k):
-            out = []
-            table = (
-                self.image_of_letter
-                if direction == "forward"
-                else self.inverse_image_of_letter
-            )
-            for x in word:
-                for y in table(x):
-                    if out and out[-1] == -y:
-                        out.pop()
-                    else:
-                        out.append(y)
-            word = tuple(out)
+            word = concat(*map(table, word))
             if budget is not None:
                 budget.charge(len(word))
         return word

@@ -20,8 +20,7 @@ from .errors import (
     VerificationFailed,
 )
 from .prefix_suffix import loops, point_fixed_by
-from .singularities import find_all, fixing_power
-from .words import EPSILON, Purity, purity
+from .singularities import _check_disjoint, _check_labels, find_all, fixing_power
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -269,19 +268,6 @@ def cmd_verify(args):
         for c in analysis.comps:
             sgraph.fixed_basis(phi, result.singularities, c)
 
-    def check_labels():
-        for s in result.singularities:
-            if s.label.w != EPSILON and purity(s.label.w) is Purity.MIXED:
-                raise InvariantViolation("mixed label word")
-
-    def check_disjoint():
-        seen = set()
-        for s in result.singularities:
-            for key in s.points:
-                if key in seen:
-                    raise InvariantViolation("shared point across classes")
-                seen.add(key)
-
     def check_fixing():
         for s in result.singularities:
             h = fixing_power(phi, s)
@@ -308,8 +294,8 @@ def cmd_verify(args):
     check("node-germ-identity", check_nodes)
     check("component-rank-identity", check_ranks)
     check("basis-fixed", check_basis)
-    check("labels-pure", check_labels)
-    check("classes-disjoint", check_disjoint)
+    check("labels-pure", lambda: _check_labels(phi, result.singularities))
+    check("classes-disjoint", lambda: _check_disjoint(result.singularities))
     check("fixing-powers", check_fixing)
     check("development-period-bound", check_rho)
     check("graph-deterministic", check_rerun)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 
 from .errors import CapExceeded, InvariantViolation
-from .words import EPSILON, invert, require_nonempty
+from .words import invert
 
 # Fixed hash parameters keep runs byte-for-byte reproducible.  A hash only
 # proposes a candidate pair; window_equal decides it.
@@ -77,15 +77,14 @@ class _InverseBlocks:
         self.levels = [letters]
         self.charged = {}  # the highest level of each letter charged so far
 
-    def read(self, x, k, budget=None):
+    def read(self, x, k, budget):
         """Level k of x.  Each level j of |x| no earlier read charged is
         built and then charged |phi^-j(|x|)|; built levels are kept."""
         c = abs(x)
         self.levels += [{} for _ in range(len(self.levels), k + 1)]
         for j in range(self.charged.get(c, 0) + 1, k + 1):
             self._build(c, j)
-            if budget is not None:
-                budget.charge(len(self.levels[j][c][0]) // self.width)
+            budget.charge(len(self.levels[j][c][0]) // self.width)
             self.charged[c] = j
         return self.levels[k][x]
 
@@ -116,7 +115,7 @@ def _inverse_blocks(phi):
     return phi.inverse_blocks
 
 
-def gamma_bound(phi, k, side, budget=None):
+def gamma_bound(phi, k, side, budget):
     """Largest mixed-sign overhang among qualifying affix preimages.
 
     On the minus side: over all strict nonempty suffixes y of any phi^k(a)
@@ -144,8 +143,7 @@ def gamma_bound(phi, k, side, budget=None):
             block = blocks.get(c)
             if block is None:
                 block = blocks[c] = inverse.read(c if plus else -c, k, budget)
-            if budget is not None:
-                budget.charge(len(block[0]) // width)
+            budget.charge(len(block[0]) // width)
             _push_block(w, block, width)
             if not w:
                 raise InvariantViolation("affix preimage reduced to nothing")
@@ -197,15 +195,16 @@ def _suffix_trie(blocks):
     return n, terminal, {b: _suffix_trie(group) for b, group in groups.items()}
 
 
-def _block_table(phi, k, side, budget=None):
-    """(table, trie) for the blocks phi^k(c) of every letter c in stream order
-    (reversed on the minus side), letters encoded as _InverseBlocks encodes
-    them.
+def _block_table(phi, k, side, budget):
+    """(table, trie, letters) for the blocks phi^k(c) of every letter c in
+    stream order (reversed on the minus side), letters encoded as
+    _InverseBlocks encodes them.
 
     table is {code: (c, block, n, H(block), _B^n, _B^(n-1), prefix hashes)}:
     code is the encoding of c read as a big-endian integer, n counts the
     block's letters, the powers are mod _M, and the prefix hashes are those
-    of the block's letters.  trie is the blocks' _suffix_trie.
+    of the block's letters.  trie is the blocks' _suffix_trie, and letters
+    is _InverseBlocks' encoding {x: (enc(x), enc(x^-1))} of signed letters.
 
     Built per call, never stored on phi: it holds hashes under the modulus in
     force when it was made.
@@ -222,55 +221,41 @@ def _block_table(phi, k, side, budget=None):
             c, blk, len(img), prefix[-1], pow(_B, len(img), _M),
             pow(_B, len(img) - 1, _M), prefix,
         )
-    return table, _suffix_trie([entry[1] for entry in table.values()])
+    return table, _suffix_trie([entry[1] for entry in table.values()]), letters
 
 
 class Stream:
-    """Lazy rotation orbit of one affix, with the hashes of its windows.
+    """Lazy rotation orbit of one loop affix, with the hashes of its windows.
 
     Rotation always consumes at the front of the stored bytes and appends the
     substituted block at the back; the minus side stores words reversed so
     both sides share this shape.  Letters are `width` bytes each, encoded as
     _InverseBlocks encodes them; positions, lengths and hashes count letters.
-    Window i (the i-th rotation value, in stream coordinates) is the letters
+    Window i (the i-th rotation value, in stream order) is the letters
     i .. i + lens[i] - 1.  Windows start at 0..steps and each ends one block
     after the previous one, so the stream keeps one prefix hash per start and
     one per end, the latter composed a block at a time from the block table:
     H(x . blk) = H(x) * B^|blk| + H(blk).  It also keeps B^lens[i], which a
     step multiplies by B^(|blk| - 1).
 
-    Any positive word can start a stream.  When the start is the stream-order
-    suffix of the block of a known letter, as every loop affix is of its loop
-    letter's block, its bytes and its hash are sliced from the table instead.
+    A loop phi^k(a) = p a s starts the stream of its affix (p on the minus
+    side, s on the plus side), which is the last n letters of a's block in
+    stream order: the start's bytes and hash are sliced from the block table.
     """
 
-    def __init__(self, phi, k, side, start, budget=None, table=None, letter=None):
-        start = tuple(start)
-        require_nonempty(start, "stream start")
-        self.side = side
+    def __init__(self, table, letter, n, budget):
+        self.table, self.trie, letters = table
         self.budget = budget
-        inverse = _inverse_blocks(phi)
-        letters, width = inverse.levels[0], inverse.width
-        self.width = width
-        if table is None:
-            table = _block_table(phi, k, side, budget)
-        self.table, self.trie = table
-        n = len(start)
+        enc = letters[letter][0]
+        self.width = len(enc)
+        _, blk, m, _, _, _, prefix = self.table[int.from_bytes(enc, "big")]
+        if n >= m:
+            raise InvariantViolation("affix is not a suffix of its loop block")
         shift = pow(_B, n, _M)
-        if letter is None:
-            word = start if side == "plus" else start[::-1]
-            self.data = bytearray(b"".join([letters[x][0] for x in word]))
-            h = _prefix_hashes(word)[-1]
-        else:
-            code = int.from_bytes(letters[letter][0], "big")
-            _, blk, m, _, _, _, prefix = self.table[code]
-            if n >= m:
-                raise InvariantViolation("affix is not a suffix of its loop block")
-            self.data = bytearray(memoryview(blk)[(m - n) * width:])
-            h = (prefix[m] - prefix[m - n] * shift) % _M
+        self.data = bytearray(memoryview(blk)[(m - n) * self.width:])
         self.lens = [n]
         self._start_h = [0]
-        self._end_h = [h]
+        self._end_h = [(prefix[m] - prefix[m - n] * shift) % _M]
         self._shift = [shift]
 
     def steps(self):
@@ -286,8 +271,7 @@ class Stream:
     def _advance(self):
         t = len(self.lens) - 1
         x, blk, n, h, p, q, _ = self.table[self._code(t)]
-        if self.budget is not None:
-            self.budget.charge(n)
+        self.budget.charge(n)
         self.data += blk
         self._start_h.append((self._start_h[t] * _B + x) % _M)
         self._end_h.append((self._end_h[t] * p + h) % _M)
@@ -315,11 +299,10 @@ class Stream:
         return self.data[i * w:(i + n) * w] == other.data[j * w:(j + n) * w]
 
     def word_at(self, i):
-        """The i-th rotation value as an actual word."""
-        raw = [self.table[self._code(t)][0] for t in range(i, i + self.lens[i])]
-        if self.side == "minus":
-            raw.reverse()
-        return tuple(raw)
+        """The letters of the i-th rotation value, in stream order."""
+        return tuple(
+            self.table[self._code(t)][0] for t in range(i, i + self.lens[i])
+        )
 
 
 def _peelable(stream, i, depth_needed):
@@ -361,16 +344,13 @@ def _peelable(stream, i, depth_needed):
     return False
 
 
-def star_index(phi, k, side, stream, g, budget=None):
+def star_index(stream, g, budget):
     """Smallest positive step whose window peels deeper than g."""
-    i = 1
-    while i <= _STAR_CAP:
+    for i in range(1, _STAR_CAP + 1):
         stream.ensure_steps(i)
-        if budget is not None:
-            budget.charge(1)
+        budget.charge(1)
         if _peelable(stream, i, g):
             return i
-        i += 1
     raise CapExceeded("rotation never reached the peel condition")
 
 
@@ -392,30 +372,25 @@ def _root_of(sx, m, sy, n):
     return m, n
 
 
-def all_matches(phi, k, side, affixes, budget=None, letters=None):
+def all_matches(phi, k, side, starts, budget):
     """Minimal matches for every unordered pair of distinct nonempty affixes.
 
-    Shares one stream per affix and one hash join across all windows, so the
-    whole level costs little more than growing each stream to the common
-    horizon.  Returns {(xi, yi): (i, j, w)} indexed by affix positions.
-
-    letters, when given, holds for each affix the letter a of a loop
+    starts holds one (a, n) per affix: a is the letter of a loop
     phi^k(a) = p a s with that affix (p on the minus side, s on the plus
-    side); each stream then slices its start from a's block.
+    side), and n is the affix's length.  Shares one stream per affix and one
+    hash join across all windows, so the whole level costs little more than
+    growing each stream to the common horizon.  Returns {(xi, yi): (i, j, w)}
+    indexed by positions in starts, with w the common rotation value as a
+    label word: reversed on the minus side, inverted on the plus side.
     """
-    affixes = list(affixes)
-    if any(a == EPSILON for a in affixes):
+    if any(n == 0 for _, n in starts):
         raise ValueError("empty affixes are matched separately")
-    if len(affixes) < 2:
+    if len(starts) < 2:
         return {}
     g = gamma_bound(phi, k, side, budget)
     table = _block_table(phi, k, side, budget)
-    if letters is None:
-        letters = [None] * len(affixes)
-    streams = [
-        Stream(phi, k, side, a, budget, table, c) for a, c in zip(affixes, letters)
-    ]
-    stars = [star_index(phi, k, side, s, g, budget) for s in streams]
+    streams = [Stream(table, a, n, budget) for a, n in starts]
+    stars = [star_index(s, g, budget) for s in streams]
     horizon = max(s.lens[i] for s, i in zip(streams, stars))
     for s in streams:
         s.ensure_len(horizon)
@@ -431,8 +406,7 @@ def all_matches(phi, k, side, affixes, budget=None, letters=None):
             for (yi, n) in entries[pos + 1:]:
                 if xi == yi:
                     continue
-                if budget is not None:
-                    budget.charge(1)
+                budget.charge(1)
                 pair = (xi, yi) if xi < yi else (yi, xi)
                 cand = (m, n) if xi < yi else (n, m)
                 old = candidates.get(pair)
@@ -457,7 +431,5 @@ def all_matches(phi, k, side, affixes, budget=None, letters=None):
         if i > i0 or j > j0:
             raise InvariantViolation("common rotation root escaped its cutoff box")
         w = sx.word_at(i)
-        if side == "plus":
-            w = invert(w)
-        out[(xi, yi)] = (i, j, w)
+        out[(xi, yi)] = (i, j, invert(w) if side == "plus" else w[::-1])
     return out

@@ -267,7 +267,7 @@ def _full_level(phi, k, registry, budget):
                 sing = _from_match_groups(phi, k, side, grp[:1], grp[1:], (0, 0, w))
                 merge(phi, registry, sing, budget)
         found = all_matches(
-            phi, k, side, affixes, budget, [groups[a][0].a for a in affixes]
+            phi, k, side, [(groups[a][0].a, len(a)) for a in affixes], budget
         )
         for (xi, yi), m in sorted(found.items()):
             sing = _from_match_groups(

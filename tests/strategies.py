@@ -50,6 +50,19 @@ def _substitute(table, word):
     return oracles.reduce_word(out)
 
 
+def relabelled(phi, perm):
+    """phi conjugated by the generator permutation a -> perm[a - 1]."""
+
+    def move(word):
+        return tuple(perm[abs(x) - 1] if x > 0 else -perm[abs(x) - 1] for x in word)
+
+    images, inverse = [None] * phi.rank, [None] * phi.rank
+    for a in phi.alphabet.letters():
+        images[perm[a - 1] - 1] = move(phi.images[a - 1])
+        inverse[perm[a - 1] - 1] = move(phi.inverse_images[a - 1])
+    return validate(phi.alphabet, images, inverse)
+
+
 @st.composite
 def positive_automorphisms(draw):
     """A product phi = e_1 . e_2 ... e_m of 2-8 elementary positive moves on

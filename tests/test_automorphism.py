@@ -128,7 +128,7 @@ def test_inverse_letter_image_matches_naive_substitution(phi):
         for a in phi.alphabet.letters():
             word = oracles.unapply_power(phi, (a,), k)
             for x, w in ((a, word), (-a, invert(word))):
-                enc, inv = blocks.read(x, k)
+                enc, inv = blocks.read(x, k, Budget(10**9))
                 assert (enc, inv) == oracles.encode_block(w, phi.rank)
 
 

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 import fgindex.gamma
 from fgindex import load_automorphism
 from fgindex.config import Budget
-from fgindex.errors import BudgetExceeded, EmptyInput
+from fgindex.errors import BudgetExceeded, InvariantViolation
 from fgindex.families import cyclic_family
 from fgindex.gamma import (
     Stream,
+    _block_table,
     _peelable,
     _push_block,
     all_matches,
@@ -22,7 +23,7 @@ from fgindex.words import EPSILON, invert
 
 import oracles
 from conftest import aut_path
-from strategies import positive_automorphisms
+from strategies import positive_automorphisms, relabelled
 
 ALL = ["rank3", "rank4", "fibonacci", "rank6", "rank14"]
 
@@ -34,20 +35,38 @@ def phi(request):
     return request.getfixturevalue(request.param)
 
 
-def affixes(phi, k, side):
-    """Nonempty rotation seeds of the given side: loop prefixes rotate on the
-    minus side (the word grows leftward), loop suffixes on the plus side."""
-    picked = set()
+def unlimited():
+    return Budget(10**15)
+
+
+def starts(phi, k, side):
+    """(affix, (a, n)) for every nonempty affix of the side, in affix order,
+    as _full_level starts its streams: a is the letter of the first loop with
+    that affix and n the affix's length.  Loop prefixes rotate on the minus
+    side (the word grows leftward), loop suffixes on the plus side."""
+    first = {}
     for t in loops(phi, k):
-        word = t.p if side == "minus" else t.s
-        if word != EPSILON:
-            picked.add(word)
-    return sorted(picked)
+        first.setdefault(t.p if side == "minus" else t.s, t.a)
+    first.pop(EPSILON, None)
+    return [(u, (first[u], len(u))) for u in sorted(first)]
+
+
+def stream(phi, k, side, start):
+    """The stream all_matches builds for one start."""
+    a, n = start
+    return Stream(_block_table(phi, k, side, unlimited()), a, n, unlimited())
+
+
+def word_at(stream, i, side):
+    """Rotation value i as an actual word: stream order, reversed on the
+    minus side."""
+    word = stream.word_at(i)
+    return word if side == "plus" else word[::-1]
 
 
 def pair_match(phi, k, side, x, y, budget=None):
-    """The joint matcher run on the single pair (x, y)."""
-    return all_matches(phi, k, side, [x, y], budget).get((0, 1))
+    """The joint matcher run on the single pair of starts (x, y)."""
+    return all_matches(phi, k, side, [x, y], budget or unlimited()).get((0, 1))
 
 
 def test_gamma_submodule_is_not_shadowed():
@@ -57,33 +76,33 @@ def test_gamma_submodule_is_not_shadowed():
 # -- single rotation steps -------------------------------------------------------
 
 
-def first_rotation(phi, k, side, u):
-    stream = Stream(phi, k, side, u)
-    stream.ensure_steps(1)
-    return stream.word_at(1)
+def first_rotation(phi, k, side, start):
+    s = stream(phi, k, side, start)
+    s.ensure_steps(1)
+    return word_at(s, 1, side)
 
 
 def test_gamma_matches_oracle(phi):
     for k in (1, 2, 3):
         for side in SIDES:
-            seeds = affixes(phi, k, side) + [(a,) for a in phi.alphabet.letters()]
-            for u in seeds:
-                assert first_rotation(phi, k, side, u) == oracles.gamma_step(
+            for u, start in starts(phi, k, side):
+                assert first_rotation(phi, k, side, start) == oracles.gamma_step(
                     phi, k, side, u
                 )
 
 
 def test_gamma_length_recurrence(phi):
     for side in SIDES:
-        for u in affixes(phi, 2, side):
+        for u, start in starts(phi, 2, side):
             eaten = u[-1] if side == "minus" else u[0]
-            out = first_rotation(phi, 2, side, u)
+            out = first_rotation(phi, 2, side, start)
             assert len(out) == len(u) - 1 + len(phi.letter_image(eaten, 2))
 
 
 def test_gamma_rejects_empty_words(fibonacci):
-    with pytest.raises(EmptyInput):
-        Stream(fibonacci, 1, "minus", EPSILON)
+    # Checked before a lone start is turned away as having no pair.
+    with pytest.raises(ValueError):
+        all_matches(fibonacci, 1, "minus", [(1, 0)], unlimited())
 
 
 # -- streams ----------------------------------------------------------------------
@@ -92,17 +111,16 @@ def test_gamma_rejects_empty_words(fibonacci):
 def test_stream_yields_the_rotation_orbit(phi):
     for k in (1, 2):
         for side in SIDES:
-            for u in affixes(phi, k, side)[:4]:
-                stream = Stream(phi, k, side, u)
-                stream.ensure_steps(6)
+            for u, start in starts(phi, k, side)[:4]:
+                s = stream(phi, k, side, start)
+                s.ensure_steps(6)
                 orbit = oracles.gamma_iterates(phi, k, side, u, 6)
                 for i in range(7):
-                    assert stream.word_at(i) == orbit[i]
+                    assert word_at(s, i, side) == orbit[i]
 
 
 def test_stream_hashes_separate_unequal_windows(rank4):
-    seeds = affixes(rank4, 1, "minus")
-    streams = [Stream(rank4, 1, "minus", u) for u in seeds]
+    streams = [stream(rank4, 1, "minus", x) for _, x in starts(rank4, 1, "minus")]
     for s in streams:
         s.ensure_steps(5)
     windows = [
@@ -119,52 +137,31 @@ def test_hash_collisions_cannot_change_a_match(phi, monkeypatch):
     # A hash hit only proposes a pair; window_equal decides it.  Modulus 7
     # collides often, and modulus 1 makes every two windows of one length
     # collide, so the join sees unequal candidates and must drop them.
-    cases = [(k, side, affixes(phi, k, side)) for k in (1, 2) for side in SIDES]
-    exact = [all_matches(phi, k, side, seeds) for k, side, seeds in cases]
+    cases = [
+        (k, side, [x for _, x in starts(phi, k, side)])
+        for k in (1, 2)
+        for side in SIDES
+    ]
+    exact = [all_matches(phi, k, side, xs, unlimited()) for k, side, xs in cases]
     for modulus in (7, 1):
         monkeypatch.setattr(fgindex.gamma, "_M", modulus)
-        for (k, side, seeds), expected in zip(cases, exact):
-            assert all_matches(phi, k, side, seeds) == expected
+        for (k, side, xs), expected in zip(cases, exact):
+            assert all_matches(phi, k, side, xs, unlimited()) == expected
     by_hash = {}
-    for k, side, seeds in cases:
-        for u in seeds:
-            stream = Stream(phi, k, side, u)
-            stream.ensure_steps(6)
+    for k, side, xs in cases:
+        for x in xs:
+            s = stream(phi, k, side, x)
+            s.ensure_steps(6)
             for i in range(7):
-                key = (k, side, stream.window_hash(i))
-                by_hash.setdefault(key, set()).add(stream.word_at(i))
+                key = (k, side, s.window_hash(i))
+                by_hash.setdefault(key, set()).add(s.word_at(i))
     assert any(len(words) > 1 for words in by_hash.values())
 
 
-def test_stream_started_from_its_loop_block_is_the_same_stream(phi):
-    # A loop affix is the stream-order end of its loop letter's block, so a
-    # stream sliced from that block must be the one built from the word.
-    for k in (1, 2, 3):
-        for side in SIDES:
-            loops_by_affix = {}
-            for t in loops(phi, k):
-                affix = t.p if side == "minus" else t.s
-                if affix != EPSILON:
-                    loops_by_affix.setdefault(affix, t.a)
-            for u, a in loops_by_affix.items():
-                sliced = Stream(phi, k, side, u, letter=a)
-                built = Stream(phi, k, side, u)
-                sliced.ensure_steps(4)
-                built.ensure_steps(4)
-                assert sliced.data == built.data
-                assert [sliced.window_hash(i) for i in range(5)] == [
-                    built.window_hash(i) for i in range(5)
-                ]
-            seeds = sorted(loops_by_affix)
-            assert all_matches(
-                phi, k, side, seeds, letters=[loops_by_affix[u] for u in seeds]
-            ) == all_matches(phi, k, side, seeds)
-
-
 def test_stream_window_equal_is_word_equality(rank3):
-    seeds = affixes(rank3, 2, "plus")
-    sa = Stream(rank3, 2, "plus", seeds[0])
-    sb = Stream(rank3, 2, "plus", seeds[-1])
+    xs = starts(rank3, 2, "plus")
+    sa = stream(rank3, 2, "plus", xs[0][1])
+    sb = stream(rank3, 2, "plus", xs[-1][1])
     sa.ensure_steps(5)
     sb.ensure_steps(5)
     for i in range(6):
@@ -177,30 +174,30 @@ def test_stream_window_equal_is_word_equality(rank3):
 def _assert_streams_match_letter_reference(phi, k_max=3, steps=12):
     # Window hashes composed a block at a time must equal the per-letter
     # prefix hashes, both when grown step by step and by length.
-    # The top letters too, which at rank 129 take the high digit.
-    top = [(phi.rank,), (phi.rank - 1, phi.rank)]
     for k in range(1, k_max + 1):
         for side in SIDES:
-            for u in affixes(phi, k, side) + top:
-                by_steps = Stream(phi, k, side, u)
+            for u, start in starts(phi, k, side):
+                by_steps = stream(phi, k, side, start)
                 ref = oracles.StreamByLetters(phi, k, side, u)
                 by_steps.ensure_steps(steps)
                 ref.ensure_steps(steps)
-                by_len = Stream(phi, k, side, u)
+                by_len = stream(phi, k, side, start)
                 ref_len = oracles.StreamByLetters(phi, k, side, u)
                 by_len.ensure_len(max(ref.lens))
                 ref_len.ensure_len(max(ref.lens))
-                for stream, expected in ((by_steps, ref), (by_len, ref_len)):
-                    assert stream.lens == expected.lens
+                for s, expected in ((by_steps, ref), (by_len, ref_len)):
+                    assert s.lens == expected.lens
                     for i in range(len(expected.lens)):
-                        assert stream.window_hash(i) == expected.window_hash(i)
-                        assert stream.word_at(i) == expected.word_at(i)
+                        assert s.window_hash(i) == expected.window_hash(i)
+                        assert word_at(s, i, side) == expected.word_at(i)
 
 
 # Ranks 128 and 129 are the last with one-byte letters and the first with two.
+# family129swap exchanges a1 and a128, so phi(a0) = a0 a128 and the two-byte
+# high digit of a128 starts a plus-side stream at level 1.
 @pytest.mark.parametrize(
     "name", ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
-    + [f"family{n}" for n in (2, 3, 4, 5, 6, 128, 129)]
+    + [f"family{n}" for n in (2, 3, 4, 5, 6, 128, 129)] + ["family129swap"]
 )
 def test_stream_matches_letter_reference(name):
     phi = fresh_map(name)
@@ -223,14 +220,14 @@ def test_stream_matches_letter_reference_on_drawn_automorphisms(phi):
 def test_gamma_bound_matches_definition(phi):
     for k in (1, 2, 3):
         for side in SIDES:
-            assert gamma_bound(phi, k, side) == oracles.overhang_bound(
+            assert gamma_bound(phi, k, side, unlimited()) == oracles.overhang_bound(
                 phi, k, side
             )
 
 
 def test_gamma_bound_rejects_unknown_side(fibonacci):
     with pytest.raises(ValueError):
-        gamma_bound(fibonacci, 1, "diagonal")
+        gamma_bound(fibonacci, 1, "diagonal", unlimited())
 
 
 # Deepest levels at which the per-letter reference stays fast.
@@ -244,6 +241,9 @@ REFERENCE_LEVELS = [
 
 
 def fresh_map(name):
+    if name == "family129swap":
+        perm = [1, 129] + list(range(3, 129)) + [2]
+        return relabelled(cyclic_family(129), perm)
     if name.startswith("family"):
         return cyclic_family(int(name[len("family"):]))
     return load_automorphism(aut_path(name))
@@ -326,7 +326,7 @@ def test_gamma_bound_on_drawn_automorphisms(phi):
         if max(phi.image_lengths(k)) > 400:
             break
         for side in SIDES:
-            g = gamma_bound(phi, k, side)
+            g = gamma_bound(phi, k, side, unlimited())
             assert g == oracles.overhang_bound(phi, k, side)
             assert g == oracles.gamma_bound_by_letters(phi, k, side)
 
@@ -337,10 +337,9 @@ def test_gamma_bound_on_drawn_automorphisms(phi):
 def test_star_index_matches_direct_search(phi):
     for k in (1, 2):
         for side in SIDES:
-            g = gamma_bound(phi, k, side)
-            for u in affixes(phi, k, side)[:4]:
-                stream = Stream(phi, k, side, u)
-                got = star_index(phi, k, side, stream, g)
+            g = gamma_bound(phi, k, side, unlimited())
+            for u, start in starts(phi, k, side)[:4]:
+                got = star_index(stream(phi, k, side, start), g, unlimited())
                 assert got == oracles.star_scan(phi, k, side, u, g)
 
 
@@ -351,16 +350,16 @@ def _assert_peel_matches_letter_reference(phi, k_max=3):
     unnatural = 0
     for k in range(1, k_max + 1):
         for side in SIDES:
-            g = gamma_bound(phi, k, side)
-            for u in affixes(phi, k, side):
-                stream = Stream(phi, k, side, u)
-                star = star_index(phi, k, side, stream, g)
+            g = gamma_bound(phi, k, side, unlimited())
+            for u, start in starts(phi, k, side):
+                s = stream(phi, k, side, start)
+                star = star_index(s, g, unlimited())
                 ref = oracles.StreamByLetters(phi, k, side, u)
                 ref.ensure_steps(star)
                 for i in range(1, star + 1):
                     natural = oracles.natural_peel_depth(ref, i)
                     for depth in (g, g + 1):
-                        got = _peelable(stream, i, depth)
+                        got = _peelable(s, i, depth)
                         assert got == oracles.peelable_by_letters(ref, i, depth)
                         unnatural += got and natural <= depth
     return unnatural
@@ -393,11 +392,11 @@ def test_peel_matches_letter_reference_on_drawn_automorphisms(phi):
 def test_match_agrees_with_grid_scan(phi):
     for k in (1, 2):
         for side in SIDES:
-            seeds = affixes(phi, k, side)
+            seeds = starts(phi, k, side)
             for xi in range(len(seeds)):
                 for yi in range(xi + 1, len(seeds)):
-                    x, y = seeds[xi], seeds[yi]
-                    got = pair_match(phi, k, side, x, y)
+                    (x, sx), (y, sy) = seeds[xi], seeds[yi]
+                    got = pair_match(phi, k, side, sx, sy)
                     scanned = oracles.match_scan(phi, k, side, x, y)
                     if got is None:
                         assert scanned is None
@@ -413,16 +412,17 @@ def test_match_agrees_with_grid_scan(phi):
 
 def test_match_root_is_minimal_and_forward_invariant(phi):
     for side in SIDES:
-        seeds = affixes(phi, 2, side)
+        seeds = starts(phi, 2, side)
         for xi in range(len(seeds)):
             for yi in range(xi + 1, len(seeds)):
-                got = pair_match(phi, 2, side, seeds[xi], seeds[yi])
+                (x, sx), (y, sy) = seeds[xi], seeds[yi]
+                got = pair_match(phi, 2, side, sx, sy)
                 if got is None:
                     continue
                 i, j, _ = got
                 depth = max(i, j) + 2
-                xs = oracles.gamma_iterates(phi, 2, side, seeds[xi], depth)
-                ys = oracles.gamma_iterates(phi, 2, side, seeds[yi], depth)
+                xs = oracles.gamma_iterates(phi, 2, side, x, depth)
+                ys = oracles.gamma_iterates(phi, 2, side, y, depth)
                 assert xs[i] == ys[j]
                 assert xs[i + 1] == ys[j + 1]
                 if i > 0 and j > 0:
@@ -432,35 +432,45 @@ def test_match_root_is_minimal_and_forward_invariant(phi):
 def test_all_matches_equals_pairwise_matching(phi):
     for k in (1, 2):
         for side in SIDES:
-            seeds = affixes(phi, k, side)
-            joint = all_matches(phi, k, side, seeds)
-            for xi in range(len(seeds)):
-                for yi in range(xi + 1, len(seeds)):
-                    lone = pair_match(phi, k, side, seeds[xi], seeds[yi])
+            xs = [x for _, x in starts(phi, k, side)]
+            joint = all_matches(phi, k, side, xs, unlimited())
+            for xi in range(len(xs)):
+                for yi in range(xi + 1, len(xs)):
+                    lone = pair_match(phi, k, side, xs[xi], xs[yi])
                     assert joint.get((xi, yi)) == lone
 
 
 def test_all_matches_rejects_blank_affixes(rank4):
+    (_, x), *_ = starts(rank4, 1, "minus")
     with pytest.raises(ValueError):
-        all_matches(rank4, 1, "minus", [EPSILON, (1,)])
+        all_matches(rank4, 1, "minus", [(1, 0), x], unlimited())
+
+
+def test_all_matches_rejects_a_start_as_long_as_its_block(rank4):
+    # A loop affix leaves out at least the loop letter of its block.
+    (_, x), *_ = starts(rank4, 1, "minus")
+    whole = (1, len(rank4.letter_image(1, 1)))
+    with pytest.raises(InvariantViolation):
+        all_matches(rank4, 1, "minus", [x, whole], unlimited())
 
 
 def test_all_matches_needs_two_affixes(rank4):
-    assert all_matches(rank4, 1, "minus", []) == {}
-    assert all_matches(rank4, 1, "minus", [(1, 2)]) == {}
+    (_, x), *_ = starts(rank4, 1, "minus")
+    assert all_matches(rank4, 1, "minus", [], unlimited()) == {}
+    assert all_matches(rank4, 1, "minus", [x], unlimited()) == {}
 
 
 def test_all_matches_is_deterministic(rank6):
-    seeds = affixes(rank6, 2, "minus")
-    assert all_matches(rank6, 2, "minus", seeds) == all_matches(
-        rank6, 2, "minus", seeds
+    xs = [x for _, x in starts(rank6, 2, "minus")]
+    assert all_matches(rank6, 2, "minus", xs, unlimited()) == all_matches(
+        rank6, 2, "minus", xs, unlimited()
     )
 
 
 def test_matching_respects_the_letter_budget(rank4):
-    seeds = affixes(rank4, 2, "minus")
+    xs = [x for _, x in starts(rank4, 2, "minus")]
     with pytest.raises(BudgetExceeded):
         budget = Budget(20)
-        for xi in range(len(seeds)):
-            for yi in range(xi + 1, len(seeds)):
-                pair_match(rank4, 2, "minus", seeds[xi], seeds[yi], budget)
+        for xi in range(len(xs)):
+            for yi in range(xi + 1, len(xs)):
+                pair_match(rank4, 2, "minus", xs[xi], xs[yi], budget)

@@ -32,7 +32,7 @@ from fgindex.singularities import find_all, fixing_power
 from fgindex.words import Purity, purity
 
 import oracles
-from strategies import positive_automorphisms
+from strategies import positive_automorphisms, relabelled
 
 RUN_NAMES = [
     "rank3",
@@ -340,19 +340,6 @@ def test_certified_run_survives_a_larger_budget(phi):
         assert high[field] == low[field], field
 
 
-def _relabelled(phi, perm):
-    """phi conjugated by the generator permutation a -> perm[a - 1]."""
-
-    def move(word):
-        return tuple(perm[abs(x) - 1] if x > 0 else -perm[abs(x) - 1] for x in word)
-
-    images, inverse = [None] * phi.rank, [None] * phi.rank
-    for a in phi.alphabet.letters():
-        images[perm[a - 1] - 1] = move(phi.images[a - 1])
-        inverse[perm[a - 1] - 1] = move(phi.inverse_images[a - 1])
-    return validate(phi.alphabet, images, inverse)
-
-
 def _shape(result):
     """Everything a sweep reports that no naming of the generators can move."""
     return (
@@ -375,5 +362,5 @@ def test_relabelling_the_generators_moves_no_count(phi, data):
     perm = data.draw(st.permutations(range(1, phi.rank + 1)), label="perm")
     config = RunConfig(budget=10**6)
     assert _shape(find_all(_fresh(phi), config)) == _shape(
-        find_all(_relabelled(phi, perm), config)
+        find_all(relabelled(phi, perm), config)
     )

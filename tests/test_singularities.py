@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from fgindex.automorphism import load_automorphism
 from fgindex.cli import analyze
-from fgindex.config import RunConfig
+from fgindex.config import Budget, RunConfig
 from fgindex.errors import InvariantViolation
 from fgindex.families import cyclic_family
 from fgindex.gamma import all_matches
@@ -86,7 +86,8 @@ def test_minus_match_anchors_shift_left(fibonacci):
     by_body = {(t.p, t.a, t.s): t for t in loops(fibonacci, 2)}
     tx = by_body[((1,), 2, ())]
     ty = by_body[((1, 2), 1, ())]
-    m = all_matches(fibonacci, 2, "minus", [tx.p, ty.p]).get((0, 1))
+    starts = [(tx.a, len(tx.p)), (ty.a, len(ty.p))]
+    m = all_matches(fibonacci, 2, "minus", starts, Budget(10**9)).get((0, 1))
     assert m == (1, 1, (1, 2, 1))
     sing = _from_match_groups(fibonacci, 2, "minus", [tx], [ty], m)
     assert sing.label == Label((1, 2, 1), 2)
@@ -97,7 +98,8 @@ def test_plus_match_anchors_shift_right(rank4):
     by_body = {(t.p, t.a, t.s): t for t in loops(rank4, 1)}
     tx = by_body[((1, 2, 4), 1, (3, 4))]
     ty = by_body[((1,), 3, (3, 4))]
-    m = all_matches(rank4, 1, "plus", [tx.s, ty.s]).get((0, 1))
+    starts = [(tx.a, len(tx.s)), (ty.a, len(ty.s))]
+    m = all_matches(rank4, 1, "plus", starts, Budget(10**9)).get((0, 1))
     assert m == (0, 0, (-4, -3))
     sing = _from_match_groups(rank4, 1, "plus", [tx], [ty], m)
     assert sing.label == Label((-4, -3), 1)
