@@ -208,16 +208,22 @@ def _inverse_length_bounds(phi, prev):
 
 
 def _level_estimate(phi, k, inv_bounds):
+    """Level k's projected cost as (floor, stream); the gate adds them.
+
+    floor never falls as k grows: it is the row sums of occ_k weighted by
+    one plus the inverse bounds.  Each row sum is non-decreasing because
+    every letter occurs in some image (primitivity), and the inverse bounds
+    are non-decreasing by induction, since no inverse image is empty.
+    stream, the loop term, can fall: the trace of M^k need not be monotone.
+    """
     lens = phi.image_lengths(k)
-    mat = sum(lens)
     occ = phi.occurrence_matrix(k)
     gb = sum(
         sum(occ[c][a] for a in range(phi.rank)) * inv_bounds[c]
         for c in range(phi.rank)
     )
     n_loops = sum(occ[a][a] for a in range(phi.rank))
-    stream = n_loops * 2 * (max(inv_bounds) + 2) * max(lens)
-    return mat + gb + stream
+    return sum(lens) + gb, n_loops * 2 * (max(inv_bounds) + 2) * max(lens)
 
 
 def _merge_blank_class(phi, k, side, registry, budget):
@@ -301,9 +307,12 @@ def _staged(phi, registry):
 def find_all(phi, config):
     """Sweep substitution powers, collecting and merging all singular classes.
 
-    Levels whose projected cost exceeds the per-level budget slice are
-    restricted to blank-sided matches.  Such a level, running out of budget
-    or a level target below 4N-4 leaves the sweep incomplete.
+    A level runs in full when its estimated cost fits within the level cap
+    (budget // 16, at least 10^4) and within the budget still remaining;
+    otherwise it is restricted to blank-sided matches.  Once the estimate's
+    non-decreasing part alone no longer fits, every later level runs
+    blank-only without being priced.  A blank-only level, running out of
+    budget or a level target below 4N-4 leaves the sweep incomplete.
     """
     budget = config.make_budget()
     k_target = resolved_max_k(config, phi.rank)
@@ -315,10 +324,15 @@ def find_all(phi, config):
     early_exited = False
     staged = None
     inv_bounds = [1] * phi.rank
+    floor = stream = 0
     for k in range(1, k_target + 1):
-        inv_bounds = _inverse_length_bounds(phi, inv_bounds)
-        estimate = _level_estimate(phi, k, inv_bounds)
-        if estimate > min(cap, budget.remaining):
+        limit = min(cap, budget.remaining)
+        # The limit never rises and the floor never falls, so once a floor
+        # is over the limit every later level is too: stop pricing.
+        if floor <= limit:
+            inv_bounds = _inverse_length_bounds(phi, inv_bounds)
+            floor, stream = _level_estimate(phi, k, inv_bounds)
+        if floor + stream > limit:
             _eps_level(phi, k, registry)
             partial_levels.append(k)
         else:

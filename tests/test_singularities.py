@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 
-from fgindex.automorphism import load_automorphism
-from fgindex.cli import analyze
-from fgindex.config import Budget, RunConfig
+from fgindex import singularities
+from fgindex.automorphism import load_automorphism, validate
+from fgindex.cli import analyze, report_dict
+from fgindex.config import DEFAULT_BUDGET, MIN_BUDGET, Budget, RunConfig
 from fgindex.errors import InvariantViolation
 from fgindex.families import cyclic_family
 from fgindex.gamma import all_matches
@@ -22,7 +25,7 @@ from fgindex.singularities import (
     merge,
     untwisted_half_count,
 )
-from fgindex.words import EPSILON
+from fgindex.words import EPSILON, Alphabet
 
 from conftest import aut_path
 from strategies import positive_automorphisms
@@ -513,15 +516,18 @@ def test_early_exit_finds_the_same_classes(rank3, rank3_analysis):
 def _assert_gate_tables_match_references(phi, k_max=60):
     occs = oracles.occurrence_matrices_by_product(phi, k_max)
     bounds = [1] * phi.rank
+    last_floor = 0
     for k in range(1, k_max + 1):
         bounds = _inverse_length_bounds(phi, bounds)
         assert bounds == oracles.inverse_length_bounds(phi, k), k
         occ = occs[k - 1]
         assert phi.occurrence_matrix(k) == occ, k
         assert phi.image_lengths(k) == tuple(sum(col) for col in zip(*occ)), k
-        assert _level_estimate(phi, k, bounds) == oracles.level_estimate(
-            phi, k, occ
-        ), k
+        floor, stream = _level_estimate(phi, k, bounds)
+        assert floor + stream == oracles.level_estimate(phi, k, occ), k
+        # The sweep stops pricing once the floor is over the limit.
+        assert floor >= last_floor, k
+        last_floor = floor
 
 
 @pytest.mark.parametrize(
@@ -548,7 +554,7 @@ def test_gate_tables_requested_out_of_order():
     for k in (40, 7, 41):
         occ = occs[k - 1]
         bounds = oracles.inverse_length_bounds(phi, k)
-        assert _level_estimate(phi, k, bounds) == oracles.level_estimate(
+        assert sum(_level_estimate(phi, k, bounds)) == oracles.level_estimate(
             phi, k, occ
         )
         assert phi.occurrence_matrix(k) == occ
@@ -568,6 +574,66 @@ def test_gate_decisions_at_level_600_are_frozen(name, full_levels, budget_used, 
     assert a.result.partial_levels == list(range(len(full_levels) + 1, 601))
     assert a.result.budget_used == budget_used
     assert a.doubled == doubled
+
+
+def _price_every_level(phi, k, inv_bounds):
+    # A zero floor never stops the pricing: every level is gated on its
+    # whole estimate.
+    return 0, sum(_level_estimate(phi, k, inv_bounds))
+
+
+def _assert_same_decisions_as_pricing_every_level(phi, config):
+    runs = []
+    for patched in (False, True):
+        fresh = validate(phi.alphabet, phi.images, phi.inverse_images)
+        with pytest.MonkeyPatch.context() as mp:
+            if patched:
+                mp.setattr(singularities, "_level_estimate", _price_every_level)
+            a = analyze(fresh, config)
+        runs.append(
+            (
+                a.result.full_levels,
+                a.result.partial_levels,
+                a.result.budget_used,
+                json.dumps(report_dict(a), indent=2, sort_keys=True),
+            )
+        )
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+@pytest.mark.parametrize("budget", [MIN_BUDGET, DEFAULT_BUDGET, 10**9])
+@pytest.mark.parametrize(
+    "name", ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
+)
+def test_gate_decides_as_when_pricing_every_level(name, budget, early_exit):
+    config = RunConfig(max_k=600, budget=budget, early_exit=early_exit)
+    _assert_same_decisions_as_pricing_every_level(
+        load_automorphism(aut_path(name)), config
+    )
+
+
+def test_gate_runs_a_level_after_a_dearer_one():
+    # The loop term falls from level 7 to level 8 on this map, by more than
+    # the floor rises; with a cap between the two estimates, level 7 runs
+    # blank and level 8 in full.
+    phi = validate(
+        Alphabet(["x0", "x1", "x2", "x3"]),
+        [(2,), (3,), (4, 1, 1), (1,)],
+        [(4,), (1,), (2,), (3, -4, -4)],
+    )
+    config = RunConfig(max_k=12, budget=2_250_000)
+    _assert_same_decisions_as_pricing_every_level(phi, config)
+    result = find_all(phi, config)
+    assert result.full_levels == [1, 2, 3, 4, 5, 6, 8]
+    assert result.partial_levels == [7, 9, 10, 11, 12]
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_automorphisms())
+def test_gate_decides_as_when_pricing_every_level_on_drawn_automorphisms(phi):
+    config = RunConfig(max_k=3 * (4 * phi.rank - 4))
+    _assert_same_decisions_as_pricing_every_level(phi, config)
 
 
 @pytest.mark.parametrize(
@@ -593,9 +659,14 @@ def test_stream_layer_budget_is_frozen(source, config, top, budget_used, doubled
 
 
 def test_occurrence_cache_keeps_two_levels():
+    # Level 7 is the first whose floor is over the limit; no later level is
+    # priced, so no later count is computed.
     phi = load_automorphism(aut_path("rank14_cyclic"))
     analyze(phi, RunConfig(max_k=600))
-    assert sorted(phi._occ_cache) == [1, 600]
+    assert sorted(phi._occ_cache) == [1, 7]
+    assert max(phi._len_cache) == 7
     occs = oracles.occurrence_matrices_by_product(phi, 9)
     assert phi.occurrence_matrix(9) == occs[8]
-    assert sorted(phi._occ_cache) == [1, 600]
+    assert sorted(phi._occ_cache) == [1, 9]
+    assert phi.occurrence_matrix(5) == occs[4]
+    assert sorted(phi._occ_cache) == [1, 9]
