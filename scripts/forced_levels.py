@@ -63,6 +63,7 @@ def _peak_rss_mib():
 def forced_levels(phi, top):
     """Yield one row per level 1..top, as HEADER names them."""
     budget, registry = Budget(10**14), []
+    merged = {"minus": set(), "plus": set()}
     bound = _Timed(gamma.gamma_bound, budget)
     star = _Timed(gamma.star_index, budget)
     gamma.gamma_bound, gamma.star_index = bound, star
@@ -70,7 +71,7 @@ def forced_levels(phi, top):
         for k in range(1, top + 1):
             before = bound.seconds, star.seconds, bound.letters
             used, t0 = budget.used, time.perf_counter()
-            _full_level(phi, k, registry, budget)
+            _full_level(phi, k, registry, budget, merged)
             wall = time.perf_counter() - t0
             doubled = _staged(phi, registry)[-1]
             yield (

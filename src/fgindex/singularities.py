@@ -226,16 +226,21 @@ def _level_estimate(phi, k, inv_bounds):
     return sum(lens) + gb, n_loops * 2 * (max(inv_bounds) + 2) * max(lens)
 
 
-def _merge_blank_class(phi, k, side, registry, budget):
+def _merge_blank_class(phi, k, side, registry, budget, merged):
     """Merge level k's class of blank-affix loops on one side, if there are
     two or more, by cycle arithmetic: a letter has a blank-prefix loop when
     it lies on a first-letter cycle of length dividing k, and pairs with every
-    admissible left seed.  The plus side mirrors this with last letters."""
+    admissible left seed.  The plus side mirrors this with last letters.
+
+    merged[side] holds the anchors already merged on that side.  A level
+    whose anchors are all among them is skipped: its points are already in
+    the one class holding every shift-0 point (see _check_blank_points), and
+    re-merging them would change no class, label or budget charge."""
     heads = phi.cycle_letters("first")
     tails = phi.cycle_letters("last")
     own, other = (heads, tails) if side == "minus" else (tails, heads)
     anchors = sorted(a for a, l in own.items() if k % l == 0)
-    if len(anchors) < 2:
+    if len(anchors) < 2 or merged[side].issuperset(anchors):
         return
     admissible = two_factors(phi)
     pairs = [
@@ -245,15 +250,28 @@ def _merge_blank_class(phi, k, side, registry, budget):
     ]
     pts = [periodic_point(phi, c, b) for c, b in pairs if (c, b) in admissible]
     merge(phi, registry, Singularity(Label(EPSILON, k), pts), budget)
+    merged[side].update(anchors)
 
 
-def _eps_level(phi, k, registry):
+def _blank_classes_done(phi, merged):
+    """Whether no later level can merge a blank-affix class: each side has
+    merged all its cycle letters, or has fewer than two."""
+    return all(
+        len(own) < 2 or merged[side].issuperset(own)
+        for side, own in (
+            ("minus", phi.cycle_letters("first")),
+            ("plus", phi.cycle_letters("last")),
+        )
+    )
+
+
+def _eps_level(phi, k, registry, merged):
     """Match only the blank-sided loops: pure cycle arithmetic, no images."""
     for side in ("minus", "plus"):
-        _merge_blank_class(phi, k, side, registry, None)
+        _merge_blank_class(phi, k, side, registry, None, merged)
 
 
-def _full_level(phi, k, registry, budget):
+def _full_level(phi, k, registry, budget, merged):
     level_loops = loops(phi, k, budget)
     occ = phi.occurrence_matrix(k)
     if len(level_loops) != sum(occ[a][a] for a in range(phi.rank)):
@@ -264,7 +282,7 @@ def _full_level(phi, k, registry, budget):
             affix = t.p if side == "minus" else t.s
             groups.setdefault(affix, []).append(t)
         groups.pop(EPSILON, None)
-        _merge_blank_class(phi, k, side, registry, budget)
+        _merge_blank_class(phi, k, side, registry, budget, merged)
         affixes = sorted(groups)
         for affix in affixes:
             grp = groups[affix]
@@ -288,6 +306,7 @@ def _staged(phi, registry):
     the doubled index."""
     from . import sgraph
 
+    _check_blank_points(registry)
     ordered = sorted(registry, key=lambda s: s.label.sort_key())
     final = [s for s in ordered if _is_genuine(phi, s)]
     _check_disjoint(final)
@@ -311,14 +330,19 @@ def find_all(phi, config):
     (budget // 16, at least 10^4) and within the budget still remaining;
     otherwise it is restricted to blank-sided matches.  Once the estimate's
     non-decreasing part alone no longer fits, every later level runs
-    blank-only without being priced.  A blank-only level, running out of
-    budget or a level target below 4N-4 leaves the sweep incomplete.
+    blank-only without being priced.  Each side's blank-affix class is
+    merged once per new set of anchors, so once both sides have merged all
+    their cycle letters a blank-only level changes nothing: the remaining
+    tail up to the target is recorded as partial levels without being run.
+    A blank-only level, running out of budget or a level target below 4N-4
+    leaves the sweep incomplete.
     """
     budget = config.make_budget()
     k_target = resolved_max_k(config, phi.rank)
     ceiling = 2 * (phi.rank - 1)
     cap = config.level_cap()
     registry = []
+    merged = {"minus": set(), "plus": set()}
     full_levels = []
     partial_levels = []
     early_exited = False
@@ -332,15 +356,21 @@ def find_all(phi, config):
         if floor <= limit:
             inv_bounds = _inverse_length_bounds(phi, inv_bounds)
             floor, stream = _level_estimate(phi, k, inv_bounds)
+        if floor > limit and _blank_classes_done(phi, merged):
+            # Every level from here on is blank-only and leaves the registry
+            # as it is, so early exit cannot fire either.
+            partial_levels.extend(range(k, k_target + 1))
+            k = k_target
+            break
         if floor + stream > limit:
-            _eps_level(phi, k, registry)
+            _eps_level(phi, k, registry, merged)
             partial_levels.append(k)
         else:
             try:
-                _full_level(phi, k, registry, budget)
+                _full_level(phi, k, registry, budget, merged)
                 full_levels.append(k)
             except BudgetExceeded:
-                _eps_level(phi, k, registry)
+                _eps_level(phi, k, registry, merged)
                 partial_levels.append(k)
         if config.early_exit:
             staged = _staged(phi, registry)
@@ -370,6 +400,18 @@ def find_all(phi, config):
         components=comps,
         doubled=doubled,
     )
+
+
+def _check_blank_points(registry):
+    """Periodic points at shift 0 are made only by blank-affix merges, with a
+    blank label; every twisted class holds shifted or generic points.  So
+    all shift-0 points share the one blank class, which is what lets
+    _merge_blank_class skip anchors it has merged."""
+    for s in registry:
+        if s.label.w != EPSILON and any(
+            key[0] == "per" and key[3] == 0 for key in s.points
+        ):
+            raise InvariantViolation("twisted class holds an unshifted periodic point")
 
 
 def _check_disjoint(final):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgindex import singularities
 from fgindex.automorphism import load_automorphism, validate
@@ -18,6 +19,8 @@ from fgindex.singularities import (
     _from_match_groups,
     _inverse_length_bounds,
     _level_estimate,
+    _merge_blank_class,
+    _staged,
     approx_classes,
     find_all,
     fixing_power,
@@ -291,6 +294,15 @@ def test_disjointness_guard_fires_on_shared_points(fibonacci):
     s2 = Singularity(Label((2, 1), 1), [p])
     with pytest.raises(InvariantViolation):
         _check_disjoint([s1, s2])
+
+
+def test_staging_rejects_an_unshifted_periodic_point_in_a_twisted_class(fibonacci):
+    # Shift-0 periodic points belong to the blank class alone; the skip of
+    # already merged blank anchors rests on it.
+    blank = Singularity(Label(EPSILON, 1), [periodic_point(fibonacci, 1, 2, 0)])
+    twisted = Singularity(Label((1, 2), 1), [periodic_point(fibonacci, 2, 1, 0)])
+    with pytest.raises(InvariantViolation, match="unshifted periodic point"):
+        _staged(fibonacci, [blank, twisted])
 
 
 # -- full sweeps, frozen ------------------------------------------------------------------
@@ -634,6 +646,102 @@ def test_gate_runs_a_level_after_a_dearer_one():
 def test_gate_decides_as_when_pricing_every_level_on_drawn_automorphisms(phi):
     config = RunConfig(max_k=3 * (4 * phi.rank - 4))
     _assert_same_decisions_as_pricing_every_level(phi, config)
+
+
+def _merge_every_blank_class(phi, k, side, registry, budget, merged):
+    # A fresh merge state every call: no anchor set is ever skipped.
+    return _merge_blank_class(
+        phi, k, side, registry, budget, {"minus": set(), "plus": set()}
+    )
+
+
+def _assert_same_as_running_every_blank_level(phi, config):
+    runs = []
+    for patched in (False, True):
+        fresh = validate(phi.alphabet, phi.images, phi.inverse_images)
+        with pytest.MonkeyPatch.context() as mp:
+            if patched:
+                mp.setattr(singularities, "_merge_blank_class", _merge_every_blank_class)
+                mp.setattr(singularities, "_blank_classes_done", lambda phi, merged: False)
+            a = analyze(fresh, config)
+        runs.append(
+            (
+                a.result.full_levels,
+                a.result.partial_levels,
+                a.result.k_reached,
+                a.result.budget_used,
+                json.dumps(report_dict(a), indent=2, sort_keys=True),
+            )
+        )
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+@pytest.mark.parametrize("budget", [MIN_BUDGET, DEFAULT_BUDGET, 10**9])
+@pytest.mark.parametrize(
+    "name", ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
+)
+def test_blank_skips_change_nothing(name, budget, early_exit):
+    config = RunConfig(max_k=600, budget=budget, early_exit=early_exit)
+    _assert_same_as_running_every_blank_level(
+        load_automorphism(aut_path(name)), config
+    )
+
+
+def test_blank_skips_change_nothing_when_anchor_sets_nest():
+    # Two fixed first letters and a 2-cycle: level 2's anchors are level 1's
+    # and two more, so only a subset of the merged anchors may be skipped.
+    phi = validate(
+        Alphabet(["x0", "x1", "x2", "x3"]),
+        [(4, 3, 2, 1), (2, 1), (3, 2, 1), (1,)],
+        [(4,), (2, -4), (3, -2), (1, -3)],
+    )
+    assert sorted(phi.cycle_letters("first").values()) == [1, 1, 2, 2]
+    _assert_same_as_running_every_blank_level(phi, RunConfig(max_k=36))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    positive_automorphisms(),
+    st.sampled_from([MIN_BUDGET, DEFAULT_BUDGET]),
+    st.booleans(),
+)
+def test_blank_skips_change_nothing_on_drawn_automorphisms(phi, budget, early_exit):
+    config = RunConfig(
+        max_k=3 * (4 * phi.rank - 4), budget=budget, early_exit=early_exit
+    )
+    _assert_same_as_running_every_blank_level(phi, config)
+
+
+@pytest.mark.parametrize("name", ["rank14_cyclic", "rank6_cyclic"])
+def test_sweep_cost_does_not_grow_with_max_k(name, monkeypatch):
+    counts = {"eps_levels": 0, "blank_merges": 0}
+    real_eps_level, real_merge = singularities._eps_level, singularities.merge
+
+    def eps_level(*args):
+        counts["eps_levels"] += 1
+        return real_eps_level(*args)
+
+    def counted_merge(phi, registry, sing, budget=None):
+        counts["blank_merges"] += sing.label.w == EPSILON
+        return real_merge(phi, registry, sing, budget)
+
+    monkeypatch.setattr(singularities, "_eps_level", eps_level)
+    monkeypatch.setattr(singularities, "merge", counted_merge)
+    runs = []
+    for max_k in (600, 10**6):
+        counts.update(eps_levels=0, blank_merges=0)
+        report = report_dict(
+            analyze(load_automorphism(aut_path(name)), RunConfig(max_k=max_k))
+        )
+        runs.append((dict(counts), report))
+    (counts_600, short), (counts_big, long) = runs
+    assert counts_600 == counts_big
+    tail = long["sweep"].pop("partial_levels")
+    assert tail == short["sweep"].pop("partial_levels") + list(range(601, 10**6 + 1))
+    assert (long["sweep"].pop("k_target"), long["sweep"].pop("k_reached")) == (10**6,) * 2
+    assert (short["sweep"].pop("k_target"), short["sweep"].pop("k_reached")) == (600,) * 2
+    assert long == short
 
 
 @pytest.mark.parametrize(
