@@ -10,6 +10,7 @@ iteration must be pushed before giving up, so the search is finite.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 
 from .errors import CapExceeded, InvariantViolation
 from .words import invert
@@ -56,13 +57,17 @@ def _push_block(w, block, width):
 
 class _InverseBlocks:
     """Encoded blocks (enc, inv) of phi^-j(x) for signed letters x, built on
-    demand, one level from the one below, and kept on phi.
+    demand, one level from the one below, and kept on phi, together with the
+    two gamma_bound values of each level whose walk has run.
 
     A letter x is `width` bytes, the base-128 digits of |x| - 1 with the high
     bit set when x is positive, so every byte carries its letter's sign; inv
     encodes the inverse word.  Level j of c is the reduced product, by
     _push_block, of the level j-1 blocks over the letters of phi^-1(c); the
     block of c^-1 is built alongside it from the inverted letters in reverse.
+    A level of a letter is charged once, by the first read that reaches it;
+    a block built by block() alone is charged by the first read after it.
+    bounds is {k: {"minus": g, "plus": g}}.
     """
 
     def __init__(self, phi):
@@ -76,16 +81,22 @@ class _InverseBlocks:
             letters[a], letters[-a] = (pos, neg), (neg, pos)
         self.levels = [letters]
         self.charged = {}  # the highest level of each letter charged so far
+        self.bounds = {}
 
     def read(self, x, k, budget):
         """Level k of x.  Each level j of |x| no earlier read charged is
-        built and then charged |phi^-j(|x|)|; built levels are kept."""
+        built and then charged |phi^-j(|x|)|."""
         c = abs(x)
-        self.levels += [{} for _ in range(len(self.levels), k + 1)]
         for j in range(self.charged.get(c, 0) + 1, k + 1):
-            self._build(c, j)
-            budget.charge(len(self.levels[j][c][0]) // self.width)
+            budget.charge(len(self.block(c, j)[0]) // self.width)
             self.charged[c] = j
+        return self.block(x, k)
+
+    def block(self, x, k):
+        """Level k of x, built uncharged if it is missing."""
+        self.levels += [{} for _ in range(len(self.levels), k + 1)]
+        if x not in self.levels[k]:
+            self._build(abs(x), k)
         return self.levels[k][x]
 
     def _build(self, c, j):
@@ -122,40 +133,135 @@ def gamma_bound(phi, k, side, budget):
     whose reduced preimage splits as (negatives)(positives+), the maximum
     count of leading negatives.  Plus side mirrors with prefixes and
     (positives+)(negatives).  Zero when no suffix qualifies.
+
+    Both sides come from one walk over the proper prefixes x of the images:
+    where phi^k(a) = x y, phi^-k(y)^-1 = a^-1 phi^-k(x), so each prefix's
+    preimage serves both (see _overhangs).  The first call at a level runs
+    the walk and keeps both values on phi's _InverseBlocks; a later call at
+    that level reads its side's value there.  Every call charges the budget
+    only for its own side, before any walk, and exactly what a scan of that
+    side's affixes pushing one block per position costs: in letter order,
+    the image of each letter, the levels of the inverse blocks its scanned
+    positions read that no earlier read charged, and one block per scanned
+    position.
     """
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
     plus = side == "plus"
     inverse = _inverse_blocks(phi)
-    width = inverse.width
-    # w is the reduced preimage with its open end last: on the plus side as it
-    # is, qualifying as (positives+)(negatives); on the minus side, where
-    # blocks join on the left, its inverse, from the inverse blocks, qualifying
-    # as (negatives+)(positives).  head and end are the bytes of the two runs.
-    head, end = (_POSITIVE, _NEGATIVE) if plus else (_NEGATIVE, _POSITIVE)
-    blocks, best = {}, 0
     for a in phi.alphabet.letters():
         image = phi.letter_image(a, k, budget)
-        w = bytearray()
-        order = range(len(image) - 1) if plus else range(len(image) - 1, 0, -1)
-        for pos in order:
-            c = image[pos]
-            block = blocks.get(c)
-            if block is None:
-                block = blocks[c] = inverse.read(c if plus else -c, k, budget)
-            budget.charge(len(block[0]) // width)
-            _push_block(w, block, width)
-            if not w:
+        # The scanned positions, each letter first met where the scan meets
+        # it (a Counter keeps that order), so the reads charge in scan order:
+        # the plus side scans prefixes left to right, the minus side
+        # suffixes right to left.
+        size = 0
+        for c, n in Counter(image[:-1] if plus else image[:0:-1]).items():
+            size += n * len(inverse.read(c, k, budget)[0])
+        budget.charge(size // inverse.width)
+    bounds = inverse.bounds.get(k)
+    if bounds is None:
+        bounds = inverse.bounds[k] = _overhangs(phi, k, inverse)
+    return bounds[side]
+
+
+def _common_prefix(x, y):
+    """The length of the longest common prefix of two tuples."""
+    differ = (i for i, (p, q) in enumerate(zip(x, y)) if p != q)
+    return next(differ, min(len(x), len(y)))
+
+
+def _overhangs(phi, k, inverse):
+    """{"minus": g, "plus": g} for level k, from one walk over the distinct
+    proper prefixes x of the images phi^k(a), each preimage P = phi^-k(x)
+    built once by _push_block.
+
+    The plus side asks whether P is (positives+)(negatives).  The minus side
+    asks the same of a^-1 P, the inverse of the suffix preimage, as
+    (negatives+)(positives), for any letter a whose image has x as a proper
+    prefix: if P starts with such an a, a^-1 P is P without its first letter;
+    otherwise it is P with a^-1 in front, and P must be (negatives)
+    (positives).  An all-positive P never starts with such an a, since then
+    phi^k(P), which is x, would be at least as long as phi^k(a).  Both
+    overhangs are the last run of P, so only a last run longer than the best
+    so far is looked at.
+
+    The images are walked in sorted order, each resuming from its common
+    prefix with the one before it.  The preimage is copied only at the depths
+    where a later image resumes, by the last image to reach that depth before
+    it, so at most N - 1 copies are kept at once.
+    """
+    width = inverse.width
+    letters = inverse.levels[0]
+    walk = sorted((phi.letter_image(a, k), a) for a in phi.alphabet.letters())
+    n = len(walk)
+    shared = [0] + [_common_prefix(x, y) for (x, _), (y, _) in zip(walk, walk[1:])]
+    # The depths each image copies its preimage at: image j resumes from the
+    # last image before it that walked its depth shared[j].
+    saves = [set() for _ in walk]
+    for j in range(1, n):
+        if shared[j]:
+            i = j - 1
+            while shared[i] >= shared[j]:
+                i -= 1
+            saves[i].add(shared[j])
+
+    def opens_own_image(w, j, depth):
+        """Whether w starts with a letter whose image has the first depth
+        letters of image j as a proper prefix: the images from j on that
+        share them."""
+        for t in range(j, n):
+            if t > j and shared[t] < depth:
+                return False
+            if w.startswith(letters[walk[t][1]][0]):
+                return True
+        return False
+
+    minus = plus = 0
+    stack, blocks = [(0, b"")], {}
+    for j, (image, _) in enumerate(walk):
+        r, save = shared[j], saves[j]
+        while stack[-1][0] > r:
+            stack.pop()
+        w = bytearray(stack[-1][1])
+        last = len(image) - 1
+        # The common prefix was checked by the image before, unless it is
+        # that whole image; a depth past the last proper prefix is walked
+        # only for a later image to resume from.
+        first = r if r and r == len(walk[j - 1][0]) else r + 1
+        for depth in range(first, max(last, max(save, default=0)) + 1):
+            if depth > r:
+                c = image[depth - 1]
+                block = blocks.get(c)
+                if block is None:
+                    block = blocks[c] = inverse.block(c, k)
+                _push_block(w, block, width)
+                if depth in save:
+                    stack.append((depth, bytes(w)))
+                if depth > last:
+                    continue
+            size = len(w)
+            if size <= width and (
+                not w or (w[0] & 0x80 and opens_own_image(w, j, depth))
+            ):
                 raise InvariantViolation("affix preimage reduced to nothing")
-            # Qualifying: all head, with overhang 0, which never raises best;
-            # or one sign change from the head into the open end, whose length
-            # is the overhang.  Only an open end longer than best is looked at.
-            tail = (best + 1) * width
-            if len(w) > tail and w[0] in head and not w[-tail:].lstrip(end):
-                rest = w.rstrip(end)
-                if not rest.lstrip(head):
-                    best = (len(w) - len(rest)) // width
-    return best
+            # Plus: P is (positives+)(negatives).
+            tail = (plus + 1) * width
+            if size > tail and w[0] & 0x80 and not w[-tail:].lstrip(_NEGATIVE):
+                rest = w.rstrip(_NEGATIVE)
+                if not rest.lstrip(_POSITIVE):
+                    plus = (size - len(rest)) // width
+            # Minus: a^-1 P is (negatives+)(positives).
+            tail = (minus + 1) * width
+            if size >= tail and not w[-tail:].lstrip(_POSITIVE):
+                rest = w.rstrip(_POSITIVE)
+                if not rest.lstrip(_NEGATIVE) or (
+                    rest[0] & 0x80
+                    and not rest[width:].lstrip(_NEGATIVE)
+                    and opens_own_image(rest, j, depth)
+                ):
+                    minus = (size - len(rest)) // width
+    return {"minus": minus, "plus": plus}
 
 
 def _prefix_hashes(letters):

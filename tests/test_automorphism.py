@@ -178,16 +178,19 @@ def test_deep_letter_images_run_out_of_budget_not_stack():
     with pytest.raises(BudgetExceeded):
         phi.letter_image(1, 5000, Budget(10**4))
     # The inverse blocks of gamma_bound likewise: the budget runs out while
-    # phi^-10 of the last letter of phi^20(a) is charged, and no level past
-    # that one has been built.
-    rank6 = load_automorphism(aut_path("rank6_cyclic"))
-    budget = Budget(10**6)
-    with pytest.raises(BudgetExceeded):
-        gamma_bound(rank6, 20, "minus", budget)
-    assert budget.used == 1101533
-    inverse = rank6.inverse_blocks
-    built = max(j for j, level in enumerate(inverse.levels) if level)
-    assert built == max(inverse.charged.values()) + 1 == 10
+    # phi^-10 of the last letter (minus side) or the first letter (plus side)
+    # of phi^20(a) is charged, no level past that one has been built, and the
+    # walk that finds the bounds never starts.
+    for side, used in (("minus", 1101533), ("plus", 1728768)):
+        rank6 = load_automorphism(aut_path("rank6_cyclic"))
+        budget = Budget(10**6)
+        with pytest.raises(BudgetExceeded):
+            gamma_bound(rank6, 20, side, budget)
+        assert budget.used == used
+        inverse = rank6.inverse_blocks
+        built = max(j for j, level in enumerate(inverse.levels) if level)
+        assert built == max(inverse.charged.values()) + 1 == 10
+        assert inverse.bounds == {}
     fresh = cyclic_family(3)
     budget = Budget(10**7)
     fresh.letter_image(1, 3, budget)

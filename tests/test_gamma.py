@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import fgindex.gamma
 from fgindex import load_automorphism
+from fgindex.automorphism import validate
 from fgindex.config import Budget
 from fgindex.errors import BudgetExceeded, InvariantViolation
 from fgindex.families import cyclic_family
@@ -19,7 +20,7 @@ from fgindex.gamma import (
     star_index,
 )
 from fgindex.prefix_suffix import loops
-from fgindex.words import EPSILON, invert
+from fgindex.words import EPSILON, Alphabet, invert
 
 import oracles
 from conftest import aut_path
@@ -225,6 +226,19 @@ def test_gamma_bound_matches_definition(phi):
             )
 
 
+def test_minus_bound_cancels_a_first_letter_only_against_its_own_image():
+    # phi(d) = a b and phi^-1(a) = a c^-1 b, which a^-1 would reduce to the
+    # qualifying c^-1 b.  But the prefix a opens only d's image, and
+    # d^-1 a c^-1 b has three sign runs, so nothing on the minus side qualifies.
+    phi = validate(
+        Alphabet(["a", "b", "c", "d"]),
+        ((3,), (4, 1), (4, 3), (1, 2)),
+        ((1, -3, 2), (-2, 3, -1, 4), (1,), (3, -1)),
+    )
+    assert gamma_bound(phi, 1, "minus", unlimited()) == 0
+    assert oracles.overhang_bound(phi, 1, "minus") == 0
+
+
 def test_gamma_bound_rejects_unknown_side(fibonacci):
     with pytest.raises(ValueError):
         gamma_bound(fibonacci, 1, "diagonal", unlimited())
@@ -249,32 +263,45 @@ def fresh_map(name):
     return load_automorphism(aut_path(name))
 
 
+def _assert_calls_match_letter_reference(phi, ref, calls):
+    """gamma_bound on phi against the reference on its twin ref, over the
+    (level, side) calls in turn: each call's value and charges.  A later
+    side at a level reads the bounds the first stored, and must still charge
+    what its own scan would."""
+    for k, side in calls:
+        used, ref_used = Budget(10**12), Budget(10**12)
+        assert gamma_bound(phi, k, side, used) == (
+            oracles.gamma_bound_by_letters(ref, k, side, ref_used)
+        )
+        assert used.used == ref_used.used
+
+
+# Each side alone, and both on one map with either side first.
+ORDERS = [("minus",), ("plus",), SIDES, SIDES[::-1]]
+
+
 @pytest.mark.parametrize("name, top", REFERENCE_LEVELS)
 def test_gamma_bound_matches_letter_reference(name, top):
-    # Each side on fresh maps, so both pay the same image computations.
-    for side in SIDES:
-        phi, ref = fresh_map(name), fresh_map(name)
-        for k in range(1, top + 1):
-            used, ref_used = Budget(10**12), Budget(10**12)
-            assert gamma_bound(phi, k, side, used) == (
-                oracles.gamma_bound_by_letters(ref, k, side, ref_used)
-            )
-            assert used.used == ref_used.used
+    # Fresh maps for each order, so both pay the same image computations.
+    for order in ORDERS:
+        calls = [(k, side) for k in range(1, top + 1) for side in order]
+        _assert_calls_match_letter_reference(fresh_map(name), fresh_map(name), calls)
 
 
 # Ranks 128 and 129 are the last with one-byte letters and the first with two.
 @pytest.mark.parametrize("rank", [128, 129])
 def test_gamma_bound_matches_letter_reference_at_wide_ranks(rank):
-    # Both sides share one pair of maps; each scan still makes the same image
-    # calls on either map.
-    phi, ref = cyclic_family(rank), cyclic_family(rank)
-    for side in SIDES:
-        for k in (1, 2, 3, rank):
-            used, ref_used = Budget(10**12), Budget(10**12)
-            assert gamma_bound(phi, k, side, used) == (
-                oracles.gamma_bound_by_letters(ref, k, side, ref_used)
-            )
-            assert used.used == ref_used.used
+    levels = (1, 2, 3, rank)
+    # Both sides at each level, either first; then one side through every
+    # level before the other, which reads bounds stored at lower levels.
+    for calls in (
+        [(k, side) for k in levels for side in SIDES],
+        [(k, side) for k in levels for side in SIDES[::-1]],
+        [(k, side) for side in SIDES for k in levels],
+    ):
+        _assert_calls_match_letter_reference(
+            cyclic_family(rank), cyclic_family(rank), calls
+        )
 
 
 @st.composite
@@ -329,6 +356,23 @@ def test_gamma_bound_on_drawn_automorphisms(phi):
             g = gamma_bound(phi, k, side, unlimited())
             assert g == oracles.overhang_bound(phi, k, side)
             assert g == oracles.gamma_bound_by_letters(phi, k, side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms(), st.data())
+def test_gamma_bound_ignores_the_naming_of_the_generators(phi, data):
+    # The walk visits the images in the order of their letters' numbers.
+    perm = data.draw(st.permutations(range(1, phi.rank + 1)), label="perm")
+    moved = relabelled(phi, perm)
+    for k in (1, 2, 3, 4):
+        if max(phi.image_lengths(k)) > 2000:
+            break
+        for side in SIDES:
+            used, moved_used = unlimited(), unlimited()
+            assert gamma_bound(phi, k, side, used) == gamma_bound(
+                moved, k, side, moved_used
+            )
+            assert used.used == moved_used.used
 
 
 # -- cutoff indices ------------------------------------------------------------------

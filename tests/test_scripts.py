@@ -59,6 +59,21 @@ def test_forced_levels_prints_a_row_per_level():
     assert all(len(row) == len(header) for row in rows)
 
 
+def test_forced_levels_charge_the_frozen_letters():
+    # The deterministic columns of every level: what a change to how a level
+    # is computed may not move.  CI checks level 10 too.
+    out = run_script("forced_levels.py", "rank6_cyclic", "9")
+    assert out.returncode == 0, out.stderr
+    got = [line.split("\t") for line in out.stdout.splitlines()]
+    columns = [0, 4, 5, 6]  # level, letters, gamma_letters, doubled
+    frozen = (ROOT / "tests" / "data" / "forced_levels_rank6_cyclic.tsv").read_text(
+        "utf-8"
+    )
+    assert [[row[i] for i in columns] for row in got] == [
+        line.split("\t") for line in frozen.splitlines()[:10]
+    ]
+
+
 def test_report_digests_do_not_depend_on_hash_order():
     # The seed-0 run must also match the frozen digests: a change that alters
     # a report on purpose regenerates the file and names the rows it changed.
