@@ -9,15 +9,11 @@ iteration must be pushed before giving up, so the search is finite.
 
 from __future__ import annotations
 
-from array import array
+import zlib
 from collections import Counter
 
 from .errors import CapExceeded, InvariantViolation
 from .words import invert
-
-# Fixed hash parameters keep runs byte-for-byte reproducible.  A hash only
-# proposes a candidate pair; window_equal decides it.
-_B, _M = 1_000_003, (1 << 61) - 1
 
 # Safety valve for the cutoff search; the peel condition is always reached
 # long before this for a primitive map.
@@ -264,16 +260,6 @@ def _overhangs(phi, k, inverse):
     return {"minus": minus, "plus": plus}
 
 
-def _prefix_hashes(letters):
-    """The polynomial hashes of every prefix of a letter sequence, empty
-    first: the one hash every window uses."""
-    out, h = array("Q", [0]), 0
-    for x in letters:
-        h = (h * _B + x) % _M
-        out.append(h)
-    return out
-
-
 def _suffix_trie(blocks):
     """Distinct nonempty blocks as a compressed trie on their reversed bytes.
 
@@ -306,14 +292,10 @@ def _block_table(phi, k, side, budget):
     stream order (reversed on the minus side), letters encoded as
     _InverseBlocks encodes them.
 
-    table is {code: (c, block, n, H(block), _B^n, _B^(n-1), prefix hashes)}:
-    code is the encoding of c read as a big-endian integer, n counts the
-    block's letters, the powers are mod _M, and the prefix hashes are those
-    of the block's letters.  trie is the blocks' _suffix_trie, and letters
-    is _InverseBlocks' encoding {x: (enc(x), enc(x^-1))} of signed letters.
-
-    Built per call, never stored on phi: it holds hashes under the modulus in
-    force when it was made.
+    table is {code: (c, block, n)}: code is the encoding of c read as a
+    big-endian integer, and n counts the block's letters.  trie is the
+    blocks' _suffix_trie, and letters is _InverseBlocks' encoding
+    {x: (enc(x), enc(x^-1))} of signed letters.
     """
     letters = _inverse_blocks(phi).levels[0]
     table = {}
@@ -321,32 +303,25 @@ def _block_table(phi, k, side, budget):
         img = phi.letter_image(c, k, budget)
         if side == "minus":
             img = img[::-1]
-        prefix = _prefix_hashes(img)
         blk = b"".join([letters[x][0] for x in img])
-        table[int.from_bytes(letters[c][0], "big")] = (
-            c, blk, len(img), prefix[-1], pow(_B, len(img), _M),
-            pow(_B, len(img) - 1, _M), prefix,
-        )
+        table[int.from_bytes(letters[c][0], "big")] = (c, blk, len(img))
     return table, _suffix_trie([entry[1] for entry in table.values()]), letters
 
 
 class Stream:
-    """Lazy rotation orbit of one loop affix, with the hashes of its windows.
+    """Lazy rotation orbit of one loop affix.
 
     Rotation always consumes at the front of the stored bytes and appends the
     substituted block at the back; the minus side stores words reversed so
     both sides share this shape.  Letters are `width` bytes each, encoded as
-    _InverseBlocks encodes them; positions, lengths and hashes count letters.
+    _InverseBlocks encodes them; positions and lengths count letters.
     Window i (the i-th rotation value, in stream order) is the letters
     i .. i + lens[i] - 1.  Windows start at 0..steps and each ends one block
-    after the previous one, so the stream keeps one prefix hash per start and
-    one per end, the latter composed a block at a time from the block table:
-    H(x . blk) = H(x) * B^|blk| + H(blk).  It also keeps B^lens[i], which a
-    step multiplies by B^(|blk| - 1).
+    after the previous one.
 
     A loop phi^k(a) = p a s starts the stream of its affix (p on the minus
     side, s on the plus side), which is the last n letters of a's block in
-    stream order: the start's bytes and hash are sliced from the block table.
+    stream order: the start's bytes are sliced from the block table.
     """
 
     def __init__(self, table, letter, n, budget):
@@ -354,15 +329,11 @@ class Stream:
         self.budget = budget
         enc = letters[letter][0]
         self.width = len(enc)
-        _, blk, m, _, _, _, prefix = self.table[int.from_bytes(enc, "big")]
+        _, blk, m = self.table[int.from_bytes(enc, "big")]
         if n >= m:
             raise InvariantViolation("affix is not a suffix of its loop block")
-        shift = pow(_B, n, _M)
         self.data = bytearray(memoryview(blk)[(m - n) * self.width:])
         self.lens = [n]
-        self._start_h = [0]
-        self._end_h = [(prefix[m] - prefix[m - n] * shift) % _M]
-        self._shift = [shift]
 
     def steps(self):
         return len(self.lens) - 1
@@ -376,12 +347,9 @@ class Stream:
 
     def _advance(self):
         t = len(self.lens) - 1
-        x, blk, n, h, p, q, _ = self.table[self._code(t)]
+        _, blk, n = self.table[self._code(t)]
         self.budget.charge(n)
         self.data += blk
-        self._start_h.append((self._start_h[t] * _B + x) % _M)
-        self._end_h.append((self._end_h[t] * p + h) % _M)
-        self._shift.append(self._shift[t] * q % _M)
         self.lens.append(self.lens[t] - 1 + n)
 
     def ensure_steps(self, i):
@@ -394,8 +362,10 @@ class Stream:
             self._advance()
 
     def window_hash(self, i):
-        n = self.lens[i]
-        return (n, (self._end_h[i] - self._start_h[i] * self._shift[i]) % _M)
+        """(length, CRC-32 of the bytes) of window i, read in place.  Equal
+        windows share it; it only proposes a pair, and window_equal decides."""
+        n, w = self.lens[i], self.width
+        return n, zlib.crc32(memoryview(self.data)[i * w:(i + n) * w])
 
     def window_equal(self, i, other, j):
         n = self.lens[i]
@@ -471,13 +441,6 @@ def _first_longer(stream, bound):
             raise CapExceeded("rotation lengths failed to grow")
 
 
-def _root_of(sx, m, sy, n):
-    while m > 0 and n > 0 and sx.window_equal(m - 1, sy, n - 1):
-        m -= 1
-        n -= 1
-    return m, n
-
-
 def all_matches(phi, k, side, starts, budget):
     """Minimal matches for every unordered pair of distinct nonempty affixes.
 
@@ -522,10 +485,12 @@ def all_matches(phi, k, side, starts, budget):
                     cand[0], streams[pair[1]], cand[1]
                 ):
                     candidates[pair] = cand
+    # Each pair keeps its least equal windows (i, j).  Windows i - 1 and
+    # j - 1, were they equal, would share a key and be less, so (i, j) is
+    # where the two orbits first meet.
     out = {}
-    for (xi, yi), (m, n) in sorted(candidates.items()):
+    for (xi, yi), (i, j) in sorted(candidates.items()):
         sx, sy = streams[xi], streams[yi]
-        i, j = _root_of(sx, m, sy, n)
         lx = sx.lens[stars[xi]]
         ly = sy.lens[stars[yi]]
         if lx > ly:

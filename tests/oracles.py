@@ -10,7 +10,6 @@ import weakref
 from collections import deque
 
 from fgindex.errors import InvariantViolation, NotPrimitive
-from fgindex.gamma import _B, _M
 from fgindex.prefix_suffix import Triplet, apply_phi_power_key, two_factors
 from fgindex.words import EPSILON, concat, invert, require_nonempty
 
@@ -295,15 +294,15 @@ def match_scan(phi, k, side, x, y, depth=12):
 
 
 class StreamByLetters:
-    """Lazy rotation orbit of one affix, with prefix hashes of its windows.
+    """Lazy rotation orbit of one affix, one letter per list item.
 
     Rotation always consumes at the front of the stored array and appends the
     substituted block at the back; the minus side stores words reversed so
     both sides share this shape.  Window i (the i-th rotation value, in
     stream coordinates) is data[i : i + lens[i]].
 
-    The per-letter form of gamma.Stream, the reference for its block-composed
-    hashes: every stored letter gets its own prefix hash.
+    The per-letter form of gamma.Stream, the reference for its byte-encoded
+    windows.
     """
 
     def __init__(self, phi, k, side, start, budget=None):
@@ -313,17 +312,9 @@ class StreamByLetters:
         self.side = side
         self.budget = budget
         word = tuple(start) if side == "plus" else tuple(reversed(start))
-        self.data = []
+        self.data = list(word)
         self.lens = [len(word)]
         self._blocks = {}
-        self._h = [0]
-        self._extend(word)
-
-    def _extend(self, letters):
-        h = self._h
-        for x in letters:
-            self.data.append(x)
-            h.append((h[-1] * _B + x) % _M)
 
     def block(self, c):
         got = self._blocks.get(c)
@@ -341,7 +332,7 @@ class StreamByLetters:
         blk = self.block(self.data[t])
         if self.budget is not None:
             self.budget.charge(len(blk))
-        self._extend(blk)
+        self.data.extend(blk)
         self.lens.append(self.lens[t] - 1 + len(blk))
 
     def ensure_steps(self, i):
@@ -352,11 +343,6 @@ class StreamByLetters:
         """Grow until the newest window is strictly longer than bound."""
         while self.lens[-1] <= bound:
             self._advance()
-
-    def window_hash(self, i):
-        n = self.lens[i]
-        h = self._h
-        return (n, (h[i + n] - h[i] * pow(_B, n, _M)) % _M)
 
     def window_equal(self, i, other, j):
         if self.lens[i] != other.lens[j]:

@@ -135,28 +135,41 @@ def test_stream_hashes_separate_unequal_windows(rank4):
 
 
 def test_hash_collisions_cannot_change_a_match(phi, monkeypatch):
-    # A hash hit only proposes a pair; window_equal decides it.  Modulus 7
-    # collides often, and modulus 1 makes every two windows of one length
-    # collide, so the join sees unequal candidates and must drop them.
+    # A key only proposes a pair; window_equal decides it.  A length-only
+    # key makes every two windows of one length collide, and a constant key
+    # every two windows, so the join sees unequal candidates and must drop
+    # them.
     cases = [
         (k, side, [x for _, x in starts(phi, k, side)])
         for k in (1, 2)
         for side in SIDES
     ]
     exact = [all_matches(phi, k, side, xs, unlimited()) for k, side, xs in cases]
-    for modulus in (7, 1):
-        monkeypatch.setattr(fgindex.gamma, "_M", modulus)
+    for key in (lambda s, i: s.lens[i], lambda s, i: 0):
+        monkeypatch.setattr(Stream, "window_hash", key)
         for (k, side, xs), expected in zip(cases, exact):
             assert all_matches(phi, k, side, xs, unlimited()) == expected
-    by_hash = {}
+    # Under the length-only key, some key stands for unequal windows.
+    by_key = {}
     for k, side, xs in cases:
         for x in xs:
             s = stream(phi, k, side, x)
             s.ensure_steps(6)
             for i in range(7):
-                key = (k, side, s.window_hash(i))
-                by_hash.setdefault(key, set()).add(s.word_at(i))
-    assert any(len(words) > 1 for words in by_hash.values())
+                by_key.setdefault((k, side, s.lens[i]), set()).add(s.word_at(i))
+    assert any(len(words) > 1 for words in by_key.values())
+
+
+def test_window_keys_release_the_stream_bytes(rank4):
+    # window_hash reads the bytes through a memoryview; a view still held
+    # would make growing the stream raise BufferError.
+    for side in SIDES:
+        for _, start in starts(rank4, 2, side):
+            s = stream(rank4, 2, side, start)
+            s.ensure_steps(4)
+            keys = [s.window_hash(i) for i in range(s.steps() + 1)]
+            s.ensure_steps(8)
+            assert [s.window_hash(i) for i in range(len(keys))] == keys
 
 
 def test_stream_window_equal_is_word_equality(rank3):
@@ -173,10 +186,13 @@ def test_stream_window_equal_is_word_equality(rank3):
 
 
 def _assert_streams_match_letter_reference(phi, k_max=3, steps=12):
-    # Window hashes composed a block at a time must equal the per-letter
-    # prefix hashes, both when grown step by step and by length.
+    # Streams grown a block at a time hold the per-letter reference's
+    # windows, both when grown step by step and by length, and over all the
+    # windows of a level and side, two keys are equal exactly when their
+    # words are.
     for k in range(1, k_max + 1):
         for side in SIDES:
+            words_of, keys_of = {}, {}
             for u, start in starts(phi, k, side):
                 by_steps = stream(phi, k, side, start)
                 ref = oracles.StreamByLetters(phi, k, side, u)
@@ -189,8 +205,13 @@ def _assert_streams_match_letter_reference(phi, k_max=3, steps=12):
                 for s, expected in ((by_steps, ref), (by_len, ref_len)):
                     assert s.lens == expected.lens
                     for i in range(len(expected.lens)):
-                        assert s.window_hash(i) == expected.window_hash(i)
-                        assert word_at(s, i, side) == expected.word_at(i)
+                        word = word_at(s, i, side)
+                        assert word == expected.word_at(i)
+                        key = s.window_hash(i)
+                        words_of.setdefault(key, set()).add(word)
+                        keys_of.setdefault(word, set()).add(key)
+            assert all(len(words) == 1 for words in words_of.values())
+            assert all(len(keys) == 1 for keys in keys_of.values())
 
 
 # Ranks 128 and 129 are the last with one-byte letters and the first with two.

@@ -59,19 +59,30 @@ def test_forced_levels_prints_a_row_per_level():
     assert all(len(row) == len(header) for row in rows)
 
 
-def test_forced_levels_charge_the_frozen_letters():
-    # The deterministic columns of every level: what a change to how a level
-    # is computed may not move.  CI checks level 10 too.
-    out = run_script("forced_levels.py", "rank6_cyclic", "9")
+def _assert_forced_levels_charge_the_frozen_letters(name, top):
+    # The deterministic columns of levels 1..top: what a change to how a
+    # level is computed may not move.  CI checks one level more.
+    out = run_script("forced_levels.py", name, str(top))
     assert out.returncode == 0, out.stderr
     got = [line.split("\t") for line in out.stdout.splitlines()]
     columns = [0, 4, 5, 6]  # level, letters, gamma_letters, doubled
-    frozen = (ROOT / "tests" / "data" / "forced_levels_rank6_cyclic.tsv").read_text(
+    frozen = (ROOT / "tests" / "data" / f"forced_levels_{name}.tsv").read_text(
         "utf-8"
     )
     assert [[row[i] for i in columns] for row in got] == [
-        line.split("\t") for line in frozen.splitlines()[:10]
+        line.split("\t") for line in frozen.splitlines()[: top + 1]
     ]
+
+
+def test_forced_levels_charge_the_frozen_letters():
+    # rank6_cyclic's levels are nearly all gamma_bound letters.
+    _assert_forced_levels_charge_the_frozen_letters("rank6_cyclic", 9)
+
+
+def test_forced_rank14_cyclic_levels_charge_the_frozen_letters():
+    # rank14_cyclic charges few of its letters in gamma_bound, so its rows
+    # freeze the rest of a level: the streams, the peel search and the join.
+    _assert_forced_levels_charge_the_frozen_letters("rank14_cyclic", 5)
 
 
 def test_report_digests_do_not_depend_on_hash_order():
