@@ -29,15 +29,18 @@ def _push_block(w, block, width):
 
     w and enc are reduced, so exactly the longest c with w ending in the last
     c letters of inv cancels; cancelling is prefix-closed, so c is found by
-    bisection on endswith, which compares without copying.
+    bisection on endswith, which compares without copying, once the last
+    letter is seen to cancel and the whole overlap is seen not to.
     """
     enc, inv = block
     inv, size = memoryview(inv), len(inv)
     n = min(len(w), size) // width
-    if w.endswith(inv[size - n * width:]):
+    if not n or not w.endswith(inv[size - width:]):
+        c = 0
+    elif w.endswith(inv[size - n * width:]):
         c = n
     else:
-        lo, hi = 0, n
+        lo, hi = 1, n
         while hi - lo > 1:
             # The last lo letters match: compare only the ones before them.
             mid = (lo + hi) // 2

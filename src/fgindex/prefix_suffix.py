@@ -83,33 +83,33 @@ def desubstitute(phi, t):
     """Refine a level-k triplet into its chain of k level-1 triplets.
 
     The chain is returned innermost first: element 0 carries the same marked
-    letter as t, element k-1 decomposes phi(t.parent).  Offsets are tracked
-    with image lengths only; nothing above level 1 is materialized.
+    letter as t, element k-1 decomposes phi(t.parent).
     """
-    k = t.level
-    if k == 1:
-        return [t]
-    chain = [None] * k
-    pos = len(t.p)
-    parent = t.parent
-    for i in range(k - 1, 0, -1):
-        w = phi.images[parent - 1]
-        lens = phi.image_lengths(i)
-        cum = 0
-        for m, x in enumerate(w):
-            step = lens[x - 1]
-            if cum + step > pos:
-                chain[i] = Triplet(w[:m], x, w[m + 1:], 1, parent)
-                parent = x
-                pos -= cum
-                break
-            cum += step
-        else:
-            raise InvariantViolation("marker fell outside the refined image")
-    w = phi.images[parent - 1]
-    if w[pos] != t.a:
+    chain = _split(phi, t.parent, len(t.p), t.level)
+    if chain[0].a != t.a:
         raise InvariantViolation("refinement lost the marked letter")
-    chain[0] = Triplet(w[:pos], t.a, w[pos + 1:], 1, parent)
+    return chain
+
+
+def _split(phi, parent, pos, k):
+    """Chain of k level-1 triplets, innermost first, marking the letter at
+    offset pos of phi^k(parent).  Offsets are tracked with image lengths
+    only; nothing above level 1 is materialized."""
+    chain = [None] * k
+    for i in range(k - 1, -1, -1):
+        w = phi.images[parent - 1]
+        m = 0
+        if i:
+            lens = phi.image_lengths(i)
+            while m < len(w) and pos >= lens[w[m] - 1]:
+                pos -= lens[w[m] - 1]
+                m += 1
+        else:
+            m = pos
+        if m >= len(w):
+            raise InvariantViolation("marker fell outside the refined image")
+        chain[i] = Triplet(w[:m], w[m], w[m + 1:], 1, parent)
+        parent = w[m]
     return chain
 
 
@@ -163,51 +163,31 @@ def _aligned_period(dev, n):
     return dev.per[r:] + dev.per[:r]
 
 
-def _shift_once_forward(phi, dev):
-    horizon = len(dev.pre) + len(dev.per)
-    i0 = next(
-        (i for i in range(horizon) if dev.at(i).s != EPSILON), None
-    )
-    if i0 is None:
-        raise UndefinedShift("development carries no forward letters")
-    n = max(len(dev.pre), i0 + 1)
-    work = [dev.at(i) for i in range(n)]
-    t = work[i0]
-    work[i0] = Triplet(t.p + (t.a,), t.s[0], t.s[1:], 1, t.parent)
-    for i in range(i0 - 1, -1, -1):
-        w = phi.images[work[i + 1].a - 1]
-        work[i] = Triplet(EPSILON, w[0], w[1:], 1, work[i + 1].a)
-    return canonicalize(Development(tuple(work), _aligned_period(dev, n)))
-
-
-def _shift_once_backward(phi, dev):
-    horizon = len(dev.pre) + len(dev.per)
-    i0 = next(
-        (i for i in range(horizon) if dev.at(i).p != EPSILON), None
-    )
-    if i0 is None:
-        raise UndefinedShift("development carries no backward letters")
-    n = max(len(dev.pre), i0 + 1)
-    work = [dev.at(i) for i in range(n)]
-    t = work[i0]
-    work[i0] = Triplet(t.p[:-1], t.p[-1], (t.a,) + t.s, 1, t.parent)
-    for i in range(i0 - 1, -1, -1):
-        w = phi.images[work[i + 1].a - 1]
-        work[i] = Triplet(w[:-1], w[-1], EPSILON, 1, work[i + 1].a)
-    return canonicalize(Development(tuple(work), _aligned_period(dev, n)))
-
-
 def shift_dev(phi, dev, n):
-    """Development of S^n of any point developing as dev."""
-    out = dev
-    for _ in range(abs(n)):
-        out = (
-            _shift_once_forward(phi, out)
-            if n > 0
-            else _shift_once_backward(phi, out)
-        )
-    if n != 0:
-        check_chain(phi, out)
+    """Development of S^n of any point developing as dev.
+
+    The marker sits at offset sum |phi^i(p_i)| over i < L in phi^L(a_L).
+    Walk up to the first L where that offset plus n stays inside
+    phi^L(a_L), keep levels L and up, and split the new offset back down.
+    """
+    if n == 0:
+        return dev
+    side = (lambda t: t.s) if n > 0 else (lambda t: t.p)
+    endless = any(side(t) for t in dev.per)
+    off = reach = level = 0
+    while reach < abs(n):
+        if level >= len(dev.pre) and not endless:
+            direction = "forward" if n > 0 else "backward"
+            raise UndefinedShift(f"development carries no {direction} letters")
+        t = dev.at(level)
+        lens = phi.image_lengths(level) if level else (1,) * phi.rank
+        off += sum(lens[x - 1] for x in t.p)
+        reach += sum(lens[x - 1] for x in side(t))
+        level += 1
+    low = _split(phi, dev.at(level).a, off + n, level)
+    per = _aligned_period(dev, max(level, len(dev.pre)))
+    out = canonicalize(Development(tuple(low) + dev.pre[level:], per))
+    check_chain(phi, out)
     return out
 
 
@@ -318,23 +298,25 @@ class SymbolicPoint:
             u = invert(self.window(-length, 0))
             v = self.window(0, length)
             return u, v
-        dev = self.dev()
-        phi = self.phi
-        period = len(dev.per)
-        cap = len(dev.pre) + period * (length + 2)
+        dev, phi = self.dev(), self.phi
+        cap = len(dev.pre) + len(dev.per) * (length + 2)
         v = [dev.at(0).a]
         i = 0
         while len(v) < length and i < cap:
-            v.extend(phi.apply(dev.at(i).s, i))
+            s = dev.at(i).s
+            if s:
+                v += _ray_letters(phi, s, i, length - len(v), False)
             i += 1
         u = []
         i = 0
         while len(u) < length and i < cap:
-            u.extend(invert(phi.apply(dev.at(i).p, i)))
+            p = dev.at(i).p
+            if p:
+                u += invert(_ray_letters(phi, p, i, length - len(u), True))
             i += 1
         if len(v) < length or len(u) < length:
             raise InvariantViolation("development failed to fill its rays")
-        return tuple(u[:length]), tuple(v[:length])
+        return tuple(u), tuple(v[:length])
 
     def first_letters(self):
         u, v = self.expand(1)
@@ -378,6 +360,17 @@ class SymbolicPoint:
                 "period": [t.render(alphabet) for t in dev.per],
             }
         return out
+
+
+def _ray_letters(phi, word, i, r, from_end):
+    """The first r > 0 letters of phi^i(word) for a positive word, or with
+    from_end its last r.  No image is empty, so each level down needs only
+    r letters of the one above: nothing longer is ever built."""
+    images = phi.images
+    for _ in range(i):
+        word = word[-r:] if from_end else word[:r]
+        word = [y for x in word for y in images[x - 1]]
+    return word[-r:] if from_end else word[:r]
 
 
 def periodic_point(phi, c, b, n=0):
@@ -453,35 +446,26 @@ def apply_phi_power_key(phi, key, m):
             window = phi.ray_tail(c, lc, -n)
         total = sum(lens[x - 1] for x in window)
         return ("per", c2, b2, total if n > 0 else -total)
-    dev = _dev_from_key(key)
+    return ("dev",) + _power_dev(phi, _dev_from_key(key), m).key()
+
+
+def _power_dev(phi, dev, m):
+    """Development of phi^m of the point: m blank-prefix triplets in front."""
+    heads, front = [], dev.at(0).a
     for _ in range(m):
-        front = dev.at(0).a
         w = phi.images[front - 1]
-        head = Triplet(EPSILON, w[0], w[1:], 1, front)
-        dev = canonicalize(Development((head,) + dev.pre, dev.per))
-    return ("dev",) + dev.key()
+        heads.append(Triplet(EPSILON, w[0], w[1:], 1, front))
+        front = w[0]
+    heads.reverse()
+    return canonicalize(Development(tuple(heads) + dev.pre, dev.per))
 
 
 def _dev_from_key(key):
-    dev = Development(
-        tuple(Triplet(p, a, s, 1, 0) for (p, a, s) in key[1]),
-        tuple(Triplet(p, a, s, 1, 0) for (p, a, s) in key[2]),
-    )
-    return _with_parents(dev)
-
-
-def _with_parents(dev):
-    n = len(dev.pre)
-    T = len(dev.per)
-    fixed_pre = tuple(
-        dataclasses.replace(dev.pre[i], parent=dev.at(i + 1).a)
-        for i in range(n)
-    )
-    fixed_per = tuple(
-        dataclasses.replace(dev.per[j], parent=dev.per[(j + 1) % T].a)
-        for j in range(T)
-    )
-    return Development(fixed_pre, fixed_per)
+    bodies = key[1] + key[2]
+    parents = [b[1] for b in bodies[1:]] + [key[2][0][1]]
+    chain = [Triplet(p, a, s, 1, up) for (p, a, s), up in zip(bodies, parents)]
+    n = len(key[1])
+    return Development(tuple(chain[:n]), tuple(chain[n:]))
 
 
 def shift_key(phi, key, delta):
@@ -493,17 +477,15 @@ def shift_key(phi, key, delta):
 def point_fixed_by(phi, point, w, k, h):
     """Whether the point is fixed by the h-th power of conj(w) . phi^k."""
     wh = phi.conjugator_power(w, k, h)
-    key = point.key()
-    moved = apply_phi_power_key(phi, key, k * h)
-    if wh == EPSILON:
-        return moved == key
     d = len(wh)
-    if wh[0] > 0:
-        if moved != shift_key(phi, key, -d):
-            return False
-        u, _ = point.expand(d)
-        return u[:d] == invert(wh)
-    if moved != shift_key(phi, key, d):
-        return False
-    _, v = point.expand(d)
-    return v[:d] == invert(wh)
+    delta = -d if d and wh[0] > 0 else d
+    if point.kind() == "per":
+        key = point.key()
+        moved = apply_phi_power_key(phi, key, k * h) == shift_key(phi, key, delta)
+    else:
+        dev = point.dev()
+        moved = _power_dev(phi, dev, k * h).key() == shift_dev(phi, dev, delta).key()
+    if not moved or not d:
+        return moved
+    u, v = point.expand(d)
+    return (u if wh[0] > 0 else v) == invert(wh)

@@ -10,7 +10,15 @@ import weakref
 from collections import deque
 
 from fgindex.errors import InvariantViolation, NotPrimitive
-from fgindex.prefix_suffix import Triplet, apply_phi_power_key, two_factors
+from fgindex.errors import UndefinedShift
+from fgindex.prefix_suffix import (
+    Development,
+    Triplet,
+    apply_phi_power_key,
+    canonicalize,
+    check_chain,
+    two_factors,
+)
 from fgindex.words import EPSILON, concat, invert, require_nonempty
 
 
@@ -596,3 +604,80 @@ def level_estimate(phi, k, occ):
     n_loops = sum(occ[a][a] for a in range(phi.rank))
     stream = n_loops * 2 * (max(inv_bounds) + 2) * max(lens)
     return mat + gb + stream
+
+
+# -- symbolic points moved one letter or one substitution step at a time --------
+
+
+def _aligned_period(dev, n):
+    """dev.per rotated so the cycle picks up at level n of the old chain."""
+    r = (n - len(dev.pre)) % len(dev.per)
+    return dev.per[r:] + dev.per[:r]
+
+
+def _shift_once(phi, dev, forward):
+    """Development of the point one letter right (forward) or left of dev's:
+    the lowest level with a letter on that side steps onto it, and every
+    level below restarts at the matching end of its parent's image."""
+    horizon = len(dev.pre) + len(dev.per)
+    side = (lambda t: t.s) if forward else (lambda t: t.p)
+    i0 = next((i for i in range(horizon) if side(dev.at(i)) != EPSILON), None)
+    if i0 is None:
+        direction = "forward" if forward else "backward"
+        raise UndefinedShift(f"development carries no {direction} letters")
+    n = max(len(dev.pre), i0 + 1)
+    work = [dev.at(i) for i in range(n)]
+    t = work[i0]
+    if forward:
+        work[i0] = Triplet(t.p + (t.a,), t.s[0], t.s[1:], 1, t.parent)
+    else:
+        work[i0] = Triplet(t.p[:-1], t.p[-1], (t.a,) + t.s, 1, t.parent)
+    for i in range(i0 - 1, -1, -1):
+        w = phi.images[work[i + 1].a - 1]
+        if forward:
+            work[i] = Triplet(EPSILON, w[0], w[1:], 1, work[i + 1].a)
+        else:
+            work[i] = Triplet(w[:-1], w[-1], EPSILON, 1, work[i + 1].a)
+    return canonicalize(Development(tuple(work), _aligned_period(dev, n)))
+
+
+def shift_dev_by_steps(phi, dev, n):
+    """fgindex.prefix_suffix.shift_dev as |n| one-letter shifts, each
+    canonicalized: the reference for the carry through level offsets."""
+    out = dev
+    for _ in range(abs(n)):
+        out = _shift_once(phi, out, n > 0)
+    if n != 0:
+        check_chain(phi, out)
+    return out
+
+
+def power_key_by_steps(phi, dev, m):
+    """Key of phi^m of the point developing as dev, one blank-prefix triplet
+    prepended and canonicalized per substitution step."""
+    for _ in range(m):
+        front = dev.at(0).a
+        w = phi.images[front - 1]
+        head = Triplet(EPSILON, w[0], w[1:], 1, front)
+        dev = canonicalize(Development((head,) + dev.pre, dev.per))
+    return ("dev",) + dev.key()
+
+
+def expand_by_images(phi, dev, length):
+    """First `length` letters of both coordinates of the point developing as
+    dev, from whole images phi^i(s_i) and phi^i(p_i)."""
+    period = len(dev.per)
+    cap = len(dev.pre) + period * (length + 2)
+    v = [dev.at(0).a]
+    i = 0
+    while len(v) < length and i < cap:
+        v.extend(phi.apply(dev.at(i).s, i))
+        i += 1
+    u = []
+    i = 0
+    while len(u) < length and i < cap:
+        u.extend(invert(phi.apply(dev.at(i).p, i)))
+        i += 1
+    if len(v) < length or len(u) < length:
+        raise InvariantViolation("development failed to fill its rays")
+    return tuple(u[:length]), tuple(v[:length])

@@ -350,6 +350,10 @@ def words_and_blocks(draw):
 @example((2, (1, -2, 1), [(-1, 2, -1)]))  # full cancellation
 @example((2, (1, 2), [(-2, -2, 1)]))  # partial, a sign change at the seam
 @example((2, (1, -2), [(1, 2)]))  # no cancellation
+@example((200, (129,), [(-1,)]))  # last bytes agree, letters do not
+@example((3, (1, 2, 3), [(-3, 1)]))  # one letter cancels
+@example((3, (1, 2, 3), [(-3, -2, 1)]))  # some but not all of the overlap
+@example((3, (1, 2, 3), [(-3,)]))  # the block cancels, the word is longer
 @example((3, (-3,), [(3, 1, -2, -2, 3)]))  # block longer than the word
 @example((200, (1, -130, 129), [(-129, 130, 2)]))  # two two-byte letters cancel
 @example((200, (129, 1), [(-1, -128)]))  # one of two two-byte letters cancels

@@ -1,6 +1,12 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+
+from fgindex import load_automorphism
+from fgindex.config import RunConfig
 from fgindex.errors import UndefinedShift
+from fgindex.families import cyclic_family
 from fgindex.prefix_suffix import (
     Development,
     SymbolicPoint,
@@ -18,9 +24,12 @@ from fgindex.prefix_suffix import (
     shift_key,
     two_factors,
 )
+from fgindex.singularities import find_all
 from fgindex.words import EPSILON, invert
 
 import oracles
+from conftest import aut_path
+from strategies import positive_automorphisms
 
 ALL = ["rank3", "rank4", "fibonacci", "rank6", "rank14"]
 
@@ -408,3 +417,143 @@ def test_point_json_shapes(fibonacci, rank4):
         part.startswith("(") and part.endswith(")")
         for part in dev_doc["development"]["period"]
     )
+
+
+# -- level-offset moves against their one-step references ---------------------------
+#
+# Each map here is loaded fresh: the references fill phi's image caches without
+# charging a budget, which would move budget_used for later runs on a shared map.
+
+SWEPT = [
+    ("rank3", None),
+    ("rank4", None),
+    ("fibonacci", None),
+    ("rank6_cyclic", 10),
+    ("rank14_cyclic", 10),
+] + [(f"family{n}", None) for n in range(2, 10)]
+
+
+def fresh_map(name):
+    if name.startswith("family"):
+        return cyclic_family(int(name[len("family"):]))
+    return load_automorphism(aut_path(name))
+
+
+def final_points(phi, max_k=None):
+    result = find_all(phi, RunConfig(max_k=max_k))
+    return [p for s in result.singularities for p in s.point_list()]
+
+
+@pytest.fixture(params=SWEPT, ids=[name for name, _ in SWEPT], scope="module")
+def swept(request):
+    name, max_k = request.param
+    phi = fresh_map(name)
+    points = final_points(phi, max_k)
+    assert points
+    return phi, [p for p in points if p.kind() == "dev"]
+
+
+def shift_devs(phi, points):
+    """The final classes' developments, and every loop's constant development
+    at levels 1 and 2; the blank-sided ones also five letters in, so that some
+    shifts run out of letters after a few steps."""
+    devs = [p.dev() for p in points]
+    for k in (1, 2):
+        for t in loops(phi, k):
+            dev = constant_development(phi, t)
+            devs.append(dev)
+            if t.p == EPSILON:
+                devs.append(oracles.shift_dev_by_steps(phi, dev, 5))
+            if t.s == EPSILON:
+                devs.append(oracles.shift_dev_by_steps(phi, dev, -5))
+    return devs
+
+
+def assert_shifts_agree(phi, dev, reach, far=()):
+    """shift_dev against the one-letter stepper for 0 < |n| <= reach, and for
+    far shifts: both give the same development, or both raise."""
+    for sign in (1, -1):
+        ref = dev
+        for n in range(1, reach + 1):
+            if ref is not None:
+                try:
+                    ref = oracles.shift_dev_by_steps(phi, ref, sign)
+                except UndefinedShift:
+                    ref = None
+            if ref is None:
+                with pytest.raises(UndefinedShift):
+                    shift_dev(phi, dev, sign * n)
+            else:
+                assert shift_dev(phi, dev, sign * n) == ref
+    for n in far:
+        try:
+            ref = oracles.shift_dev_by_steps(phi, dev, n)
+        except UndefinedShift:
+            with pytest.raises(UndefinedShift):
+                shift_dev(phi, dev, n)
+        else:
+            assert shift_dev(phi, dev, n) == ref
+
+
+def test_shift_matches_one_letter_steps(swept):
+    phi, points = swept
+    rng = random.Random(phi.rank)
+    raised = 0
+    for dev in shift_devs(phi, points):
+        far = (rng.randint(61, 3000), -rng.randint(61, 3000))
+        assert_shifts_agree(phi, dev, 60, far)
+        for n in far:
+            try:
+                shift_dev(phi, dev, n)
+            except UndefinedShift:
+                raised += 1
+    # Blank-sided loop developments run out of letters on their blank side.
+    blank = any(not (t.p and t.s) for k in (1, 2) for t in loops(phi, k))
+    assert raised > 0 or not blank
+
+
+def test_power_matches_one_substitution_steps(swept):
+    phi, points = swept
+    for p in points:
+        key, dev = p.key(), p.dev()
+        for m in range(41):
+            assert apply_phi_power_key(phi, key, m) == oracles.power_key_by_steps(
+                phi, dev, m
+            )
+
+
+def test_expand_matches_whole_images(swept):
+    phi, points = swept
+    for p in points:
+        for d in range(1, 51):
+            assert p.expand(d) == oracles.expand_by_images(phi, p.dev(), d)
+        u, v = oracles.expand_by_images(phi, p.dev(), 1)
+        assert p.first_letters() == (u[0], v[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(positive_automorphisms())
+def test_level_offset_moves_on_drawn_maps(phi):
+    points = [p for p in final_points(phi) if p.kind() == "dev"]
+    for dev in shift_devs(phi, points[:6]):
+        assert_shifts_agree(phi, dev, 12)
+    for p in points[:6]:
+        for m in range(8):
+            assert apply_phi_power_key(phi, p.key(), m) == oracles.power_key_by_steps(
+                phi, p.dev(), m
+            )
+        for d in (1, 2, 7, 20):
+            assert p.expand(d) == oracles.expand_by_images(phi, p.dev(), d)
+
+
+@pytest.mark.parametrize("name,max_k", SWEPT, ids=[name for name, _ in SWEPT])
+def test_expand_leaves_image_cache_alone(name, max_k):
+    phi = fresh_map(name)
+    points = [p for p in final_points(phi, max_k) if p.kind() == "dev"]
+    before = dict(phi._img_cache)
+    for p in points:
+        fresh = SymbolicPoint(phi, p.anchor, p.shift)
+        fresh.first_letters()
+        fresh.expand(50)
+        fresh.window(-30, 30)
+    assert phi._img_cache == before
