@@ -7,7 +7,8 @@ reuse the images and inverse blocks the earlier ones built.  One row per
 level: its wall time, the wall time of its two gamma_bound calls and of its
 star_index calls (the stream layer's peel search up to each star index), the
 letters it charged (all of them, and gamma_bound's alone), the doubled index
-of the classes found so far, and the peak RSS of the process so far.
+of the classes found so far, the peak RSS of the process so far, and the
+number of windows the peel search checked (one _peelable call each).
 
     python scripts/forced_levels.py rank6_cyclic 9
     python scripts/forced_levels.py path/to/map.aut 5
@@ -34,20 +35,23 @@ HEADER = (
     "gamma_letters",
     "doubled",
     "peak_rss_mib",
+    "peel_checks",
 )
 
 
 class _Timed:
-    """A function of gamma, adding up its wall time and the letters it
-    charges to one budget."""
+    """A function of gamma, adding up its calls, its wall time and the
+    letters it charges to one budget."""
 
     def __init__(self, inner, budget):
         self.inner = inner
         self.budget = budget
+        self.calls = 0
         self.seconds = 0.0
         self.letters = 0
 
     def __call__(self, *args):
+        self.calls += 1
         used, t0 = self.budget.used, time.perf_counter()
         try:
             return self.inner(*args)
@@ -66,10 +70,11 @@ def forced_levels(phi, top):
     merged = {"minus": set(), "plus": set()}
     bound = _Timed(gamma.gamma_bound, budget)
     star = _Timed(gamma.star_index, budget)
-    gamma.gamma_bound, gamma.star_index = bound, star
+    peel = _Timed(gamma._peelable, budget)
+    gamma.gamma_bound, gamma.star_index, gamma._peelable = bound, star, peel
     try:
         for k in range(1, top + 1):
-            before = bound.seconds, star.seconds, bound.letters
+            before = bound.seconds, star.seconds, bound.letters, peel.calls
             used, t0 = budget.used, time.perf_counter()
             _full_level(phi, k, registry, budget, merged)
             wall = time.perf_counter() - t0
@@ -83,9 +88,11 @@ def forced_levels(phi, top):
                 bound.letters - before[2],
                 doubled,
                 f"{_peak_rss_mib():.1f}",
+                peel.calls - before[3],
             )
     finally:
         gamma.gamma_bound, gamma.star_index = bound.inner, star.inner
+        gamma._peelable = peel.inner
 
 
 def main(argv=None):

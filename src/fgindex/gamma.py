@@ -10,6 +10,7 @@ iteration must be pushed before giving up, so the search is finite.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_right
 from collections import Counter
 
 from .errors import CapExceeded, InvariantViolation
@@ -21,6 +22,8 @@ _STAR_CAP = 10_000
 
 # The bytes of positive and of negative letters, as _InverseBlocks encodes them.
 _POSITIVE, _NEGATIVE = bytes(range(128, 256)), bytes(range(128))
+# Positive letters 1..128 to their one-byte encodings, for bytes.translate.
+_ENCODE_ONE_BYTE = b"\0" + _POSITIVE + bytes(127)
 
 
 def _push_block(w, block, width):
@@ -166,8 +169,14 @@ def gamma_bound(phi, k, side, budget):
 
 def _common_prefix(x, y):
     """The length of the longest common prefix of two tuples."""
-    differ = (i for i, (p, q) in enumerate(zip(x, y)) if p != q)
-    return next(differ, min(len(x), len(y)))
+    lo, hi = 0, min(len(x), len(y))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if x[:mid] == y[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _overhangs(phi, k, inverse):
@@ -300,13 +309,16 @@ def _block_table(phi, k, side, budget):
     blocks' _suffix_trie, and letters is _InverseBlocks' encoding
     {x: (enc(x), enc(x^-1))} of signed letters.
     """
-    letters = _inverse_blocks(phi).levels[0]
-    table = {}
+    inverse = _inverse_blocks(phi)
+    letters, table = inverse.levels[0], {}
     for c in phi.alphabet.letters():
         img = phi.letter_image(c, k, budget)
         if side == "minus":
             img = img[::-1]
-        blk = b"".join([letters[x][0] for x in img])
+        if inverse.width == 1:
+            blk = bytes(img).translate(_ENCODE_ONE_BYTE)
+        else:
+            blk = b"".join([letters[x][0] for x in img])
         table[int.from_bytes(letters[c][0], "big")] = (c, blk, len(img))
     return table, _suffix_trie([entry[1] for entry in table.values()]), letters
 
@@ -338,37 +350,40 @@ class Stream:
         self.data = bytearray(memoryview(blk)[(m - n) * self.width:])
         self.lens = [n]
 
-    def steps(self):
-        return len(self.lens) - 1
-
-    def _code(self, t):
-        """The table key of stored letter t."""
-        w = self.width
-        if w == 1:
-            return self.data[t]
-        return int.from_bytes(self.data[t * w:(t + 1) * w], "big")
-
-    def _advance(self):
-        t = len(self.lens) - 1
-        _, blk, n = self.table[self._code(t)]
-        self.budget.charge(n)
-        self.data += blk
-        self.lens.append(self.lens[t] - 1 + n)
-
     def ensure_steps(self, i):
-        while self.steps() < i:
-            self._advance()
+        self._grow(i, 0)
 
     def ensure_len(self, bound):
         """Grow until the newest window is strictly longer than bound."""
-        while self.lens[-1] <= bound:
-            self._advance()
+        self._grow(0, bound)
 
-    def window_hash(self, i):
-        """(length, CRC-32 of the bytes) of window i, read in place.  Equal
-        windows share it; it only proposes a pair, and window_equal decides."""
-        n, w = self.lens[i], self.width
-        return n, zlib.crc32(memoryview(self.data)[i * w:(i + n) * w])
+    def _grow(self, steps, bound):
+        """Rotate until there are at least steps steps and the newest window
+        is longer than bound, charging each block before appending it."""
+        table, data, lens, w = self.table, self.data, self.lens, self.width
+        charge = self.budget.charge
+        t = len(lens) - 1
+        while t < steps or lens[t] <= bound:
+            if w == 1:
+                code = data[t]
+            else:
+                code = int.from_bytes(data[t * w:(t + 1) * w], "big")
+            _, blk, n = table[code]
+            charge(n)
+            data += blk
+            lens.append(lens[t] - 1 + n)
+            t += 1
+
+    def window_keys(self):
+        """(length, CRC-32 of the bytes) of every window, in order, read in
+        place through a view released before returning.  Equal windows share
+        a key; it only proposes a pair, and window_equal decides."""
+        w = self.width
+        with memoryview(self.data) as view:
+            return [
+                (n, zlib.crc32(view[i * w:(i + n) * w]))
+                for i, n in enumerate(self.lens)
+            ]
 
     def window_equal(self, i, other, j):
         n = self.lens[i]
@@ -379,69 +394,84 @@ class Stream:
 
     def word_at(self, i):
         """The letters of the i-th rotation value, in stream order."""
+        w = self.width
         return tuple(
-            self.table[self._code(t)][0] for t in range(i, i + self.lens[i])
+            self.table[int.from_bytes(self.data[t * w:(t + 1) * w], "big")][0]
+            for t in range(i, i + self.lens[i])
         )
 
 
-def _peelable(stream, i, depth_needed):
+def _peelable(stream, i, depth_needed, ends):
     """Can more than depth_needed full letter images be peeled off the
     substituted end of window i, leaving a pure positive remainder?
 
-    Any parse counts, not only the one the rotation appended.  Positions are
-    letter-aligned byte offsets into the stream.  The blocks that can end at
-    a position are found by walking the suffix trie back from it; endswith,
-    bounded below by the window's start, compares each in place and fails
-    when it does not fit.  A block that fails stops the walk, since every
-    block below it in the trie ends with it.
+    Any parse counts.  The one the rotation appended is tried first: the
+    block of step t ends at letter t + lens[t], and the i - t blocks after it
+    lie in window i when that is at least i.  Otherwise every parse is
+    searched, over letter-aligned byte offsets.  The byte lengths of the
+    blocks ending at an offset, shortest first, are found by walking the
+    suffix trie back from it; endswith compares in place, and a block that
+    fails stops the walk, since every block below it in the trie ends with
+    it.  ends keeps them by offset: the stream only appends, so they hold for
+    every later window, which takes the ones that stay inside it.
     """
-    w = stream.width
-    start, end = i * w, (i + stream.lens[i]) * w
+    t = i - depth_needed - 1
+    if t >= 0 and stream.lens[t] > depth_needed:
+        return True
     data = stream.data
+    start = i * stream.width
+    end = start + stream.lens[i] * stream.width
     reached = {end: 0}
     frontier = [end]
     while frontier:
         new_frontier = []
         for pos in frontier:
             depth = reached[pos] + 1
-            node = stream.trie
-            while node is not None:
-                n, blk, children = node
-                if blk is not None:
-                    if not data.endswith(blk, start, pos):
+            lengths = ends.get(pos)
+            if lengths is None:
+                lengths = ends[pos] = []
+                node = stream.trie
+                while node is not None:
+                    n, blk, children = node
+                    if blk is not None:
+                        if not data.endswith(blk, 0, pos):
+                            break
+                        lengths.append(n)
+                    if pos <= n:
                         break
-                    nxt = pos - n
-                    if reached.get(nxt, -1) < depth:
-                        reached[nxt] = depth
-                        if depth > depth_needed:
-                            return True
-                        new_frontier.append(nxt)
-                if pos - n <= start:
+                    node = children.get(data[pos - n - 1])
+            for n in lengths:
+                nxt = pos - n
+                if nxt < start:
                     break
-                node = children.get(data[pos - n - 1])
+                if reached.get(nxt, -1) < depth:
+                    reached[nxt] = depth
+                    if depth > depth_needed:
+                        return True
+                    new_frontier.append(nxt)
         frontier = new_frontier
     return False
 
 
 def star_index(stream, g, budget):
-    """Smallest positive step whose window peels deeper than g."""
+    """Smallest positive step whose window peels deeper than g.  The block
+    ends found are kept for this search only."""
+    ends = {}
     for i in range(1, _STAR_CAP + 1):
         stream.ensure_steps(i)
         budget.charge(1)
-        if _peelable(stream, i, g):
+        if _peelable(stream, i, g, ends):
             return i
     raise CapExceeded("rotation never reached the peel condition")
 
 
 def _first_longer(stream, bound):
-    i = 0
-    while True:
-        stream.ensure_steps(i)
-        if stream.lens[i] > bound:
-            return i
-        i += 1
-        if i > _STAR_CAP:
-            raise CapExceeded("rotation lengths failed to grow")
+    """The first window longer than bound, in a stream whose newest window
+    is: lens never falls, since every block has a letter."""
+    i = bisect_right(stream.lens, bound)
+    if i > _STAR_CAP:
+        raise CapExceeded("rotation lengths failed to grow")
+    return i
 
 
 def all_matches(phi, k, side, starts, budget):
@@ -468,8 +498,8 @@ def all_matches(phi, k, side, starts, budget):
         s.ensure_len(horizon)
     buckets = {}
     for idx, s in enumerate(streams):
-        for i in range(s.steps() + 1):
-            buckets.setdefault(s.window_hash(i), []).append((idx, i))
+        for i, key in enumerate(s.window_keys()):
+            buckets.setdefault(key, []).append((idx, i))
     candidates = {}
     for entries in buckets.values():
         if len(entries) < 2:

@@ -125,9 +125,9 @@ def test_stream_hashes_separate_unequal_windows(rank4):
     for s in streams:
         s.ensure_steps(5)
     windows = [
-        (s.window_hash(i), s.word_at(i))
+        (key, s.word_at(i))
         for s in streams
-        for i in range(6)
+        for i, key in enumerate(s.window_keys())
     ]
     for ha, wa in windows:
         for hb, wb in windows:
@@ -145,8 +145,8 @@ def test_hash_collisions_cannot_change_a_match(phi, monkeypatch):
         for side in SIDES
     ]
     exact = [all_matches(phi, k, side, xs, unlimited()) for k, side, xs in cases]
-    for key in (lambda s, i: s.lens[i], lambda s, i: 0):
-        monkeypatch.setattr(Stream, "window_hash", key)
+    for keys in (lambda s: list(s.lens), lambda s: [0] * len(s.lens)):
+        monkeypatch.setattr(Stream, "window_keys", keys)
         for (k, side, xs), expected in zip(cases, exact):
             assert all_matches(phi, k, side, xs, unlimited()) == expected
     # Under the length-only key, some key stands for unequal windows.
@@ -161,15 +161,17 @@ def test_hash_collisions_cannot_change_a_match(phi, monkeypatch):
 
 
 def test_window_keys_release_the_stream_bytes(rank4):
-    # window_hash reads the bytes through a memoryview; a view still held
+    # window_keys reads the bytes through a memoryview; a view still held
     # would make growing the stream raise BufferError.
     for side in SIDES:
         for _, start in starts(rank4, 2, side):
             s = stream(rank4, 2, side, start)
             s.ensure_steps(4)
-            keys = [s.window_hash(i) for i in range(s.steps() + 1)]
+            keys = s.window_keys()
             s.ensure_steps(8)
-            assert [s.window_hash(i) for i in range(len(keys))] == keys
+            grown = s.window_keys()
+            assert len(grown) == 9
+            assert grown[: len(keys)] == keys
 
 
 def test_stream_window_equal_is_word_equality(rank3):
@@ -204,10 +206,9 @@ def _assert_streams_match_letter_reference(phi, k_max=3, steps=12):
                 ref_len.ensure_len(max(ref.lens))
                 for s, expected in ((by_steps, ref), (by_len, ref_len)):
                     assert s.lens == expected.lens
-                    for i in range(len(expected.lens)):
+                    for i, key in enumerate(s.window_keys()):
                         word = word_at(s, i, side)
                         assert word == expected.word_at(i)
-                        key = s.window_hash(i)
                         words_of.setdefault(key, set()).add(word)
                         keys_of.setdefault(word, set()).add(key)
             assert all(len(words) == 1 for words in words_of.values())
@@ -414,24 +415,32 @@ def test_star_index_matches_direct_search(phi):
 
 def _assert_peel_matches_letter_reference(phi, k_max=3):
     """_peelable against the list-slice reference at every step up to the
-    star index, at the bound and one past it.  Returns how many steps peel
-    deeper than the bound only through a parse that is not the natural one."""
-    unnatural = 0
+    star index, at depth 0, at the bound and one past it: on a fresh stream
+    grown step by step with a new block-end map per call, and on a stream
+    after its full star_index run with one map for every call.  Returns how
+    many calls the natural parse decides, and how many peel deeper than the
+    depth only through a parse that is not the natural one."""
+    natural_calls = unnatural = 0
     for k in range(1, k_max + 1):
         for side in SIDES:
             g = gamma_bound(phi, k, side, unlimited())
             for u, start in starts(phi, k, side):
-                s = stream(phi, k, side, start)
-                star = star_index(s, g, unlimited())
+                searched = stream(phi, k, side, start)
+                star = star_index(searched, g, unlimited())
+                fresh = stream(phi, k, side, start)
                 ref = oracles.StreamByLetters(phi, k, side, u)
                 ref.ensure_steps(star)
+                ends = {}
                 for i in range(1, star + 1):
+                    fresh.ensure_steps(i)
                     natural = oracles.natural_peel_depth(ref, i)
-                    for depth in (g, g + 1):
-                        got = _peelable(s, i, depth)
+                    for depth in (0, g, g + 1):
+                        got = _peelable(fresh, i, depth, {})
                         assert got == oracles.peelable_by_letters(ref, i, depth)
+                        assert _peelable(searched, i, depth, ends) == got
+                        natural_calls += natural > depth
                         unnatural += got and natural <= depth
-    return unnatural
+    return natural_calls, unnatural
 
 
 @pytest.mark.parametrize(
@@ -443,7 +452,11 @@ def test_peel_matches_letter_reference(name):
 
 
 def test_peel_accepts_a_parse_that_is_not_the_natural_one():
-    assert _assert_peel_matches_letter_reference(fresh_map("rank14_cyclic")) > 0
+    # On every bundled map the natural parse decides some calls, and some
+    # peel deeper only through another parse, so both paths are under test.
+    for name in ("rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"):
+        natural, unnatural = _assert_peel_matches_letter_reference(fresh_map(name))
+        assert natural > 0 and unnatural > 0, name
 
 
 @settings(max_examples=30, deadline=None)

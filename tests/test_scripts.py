@@ -54,6 +54,7 @@ def test_forced_levels_prints_a_row_per_level():
         "gamma_letters",
         "doubled",
         "peak_rss_mib",
+        "peel_checks",
     ]
     assert [row[0] for row in rows] == ["1", "2", "3"]
     assert all(len(row) == len(header) for row in rows)
@@ -65,7 +66,8 @@ def _assert_forced_levels_charge_the_frozen_letters(name, top):
     out = run_script("forced_levels.py", name, str(top))
     assert out.returncode == 0, out.stderr
     got = [line.split("\t") for line in out.stdout.splitlines()]
-    columns = [0, 4, 5, 6]  # level, letters, gamma_letters, doubled
+    # level, letters, gamma_letters, doubled, peel_checks
+    columns = [0, 4, 5, 6, 8]
     frozen = (ROOT / "tests" / "data" / f"forced_levels_{name}.tsv").read_text(
         "utf-8"
     )
