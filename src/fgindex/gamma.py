@@ -332,7 +332,8 @@ class Stream:
     _InverseBlocks encodes them; positions and lengths count letters.
     Window i (the i-th rotation value, in stream order) is the letters
     i .. i + lens[i] - 1.  Windows start at 0..steps and each ends one block
-    after the previous one.
+    after the previous one, so the newest ends with the bytes; lens never
+    falls, since every block has a letter.
 
     A loop phi^k(a) = p a s starts the stream of its affix (p on the minus
     side, s on the plus side), which is the last n letters of a's block in
@@ -374,16 +375,14 @@ class Stream:
             lens.append(lens[t] - 1 + n)
             t += 1
 
-    def window_keys(self):
-        """(length, CRC-32 of the bytes) of every window, in order, read in
-        place through a view released before returning.  Equal windows share
-        a key; it only proposes a pair, and window_equal decides."""
-        w = self.width
+    def last_key(self):
+        """(length, CRC-32 of the bytes) of the newest window, which runs to
+        the end of the stored bytes, read in place through a view released
+        before returning.  Equal windows share a key; it only proposes a
+        pair, and window_equal decides."""
+        n = self.lens[-1]
         with memoryview(self.data) as view:
-            return [
-                (n, zlib.crc32(view[i * w:(i + n) * w]))
-                for i, n in enumerate(self.lens)
-            ]
+            return n, zlib.crc32(view[len(view) - n * self.width:])
 
     def window_equal(self, i, other, j):
         n = self.lens[i]
@@ -467,7 +466,7 @@ def star_index(stream, g, budget):
 
 def _first_longer(stream, bound):
     """The first window longer than bound, in a stream whose newest window
-    is: lens never falls, since every block has a letter."""
+    is."""
     i = bisect_right(stream.lens, bound)
     if i > _STAR_CAP:
         raise CapExceeded("rotation lengths failed to grow")
@@ -480,10 +479,11 @@ def all_matches(phi, k, side, starts, budget):
     starts holds one (a, n) per affix: a is the letter of a loop
     phi^k(a) = p a s with that affix (p on the minus side, s on the plus
     side), and n is the affix's length.  Shares one stream per affix and one
-    hash join across all windows, so the whole level costs little more than
-    growing each stream to the common horizon.  Returns {(xi, yi): (i, j, w)}
-    indexed by positions in starts, with w the common rotation value as a
-    label word: reversed on the minus side, inverted on the plus side.
+    hash join on the streams' last windows, so the whole level costs little
+    more than growing each stream to the common horizon.  Returns
+    {(xi, yi): (i, j, w)} indexed by positions in starts, with w the common
+    rotation value as a label word: reversed on the minus side, inverted on
+    the plus side.
     """
     if any(n == 0 for _, n in starts):
         raise ValueError("empty affixes are matched separately")
@@ -496,31 +496,31 @@ def all_matches(phi, k, side, starts, budget):
     horizon = max(s.lens[i] for s, i in zip(streams, stars))
     for s in streams:
         s.ensure_len(horizon)
-    buckets = {}
+    # Rotation is deterministic, so once windows x_i and y_j are equal so
+    # are x_{i+m} and y_{j+m}, with equal lengths.  No stream repeats a
+    # window (its orbit would be periodic, its lengths would stop growing
+    # and ensure_len could not pass the horizon), and every stream ends at
+    # its first window longer than the horizon.  So the equal windows of
+    # two streams are one diagonal that ends at both last windows: only
+    # the last windows are keyed, and a pair whose last windows are equal
+    # walks back to where the two orbits first meet, its least equal
+    # windows, charging one letter per pair of equal windows.
+    groups = {}
     for idx, s in enumerate(streams):
-        for i, key in enumerate(s.window_keys()):
-            buckets.setdefault(key, []).append((idx, i))
+        groups.setdefault(s.last_key(), []).append(idx)
     candidates = {}
-    for entries in buckets.values():
-        if len(entries) < 2:
-            continue
-        for pos, (xi, m) in enumerate(entries):
-            for (yi, n) in entries[pos + 1:]:
-                if xi == yi:
+    for group in groups.values():
+        for pos, xi in enumerate(group):
+            sx, tx = streams[xi], len(streams[xi].lens) - 1
+            for yi in group[pos + 1:]:
+                sy, j = streams[yi], len(streams[yi].lens) - 1
+                if not sx.window_equal(tx, sy, j):
                     continue
-                budget.charge(1)
-                pair = (xi, yi) if xi < yi else (yi, xi)
-                cand = (m, n) if xi < yi else (n, m)
-                old = candidates.get(pair)
-                if old is not None and old <= cand:
-                    continue
-                if streams[pair[0]].window_equal(
-                    cand[0], streams[pair[1]], cand[1]
-                ):
-                    candidates[pair] = cand
-    # Each pair keeps its least equal windows (i, j).  Windows i - 1 and
-    # j - 1, were they equal, would share a key and be less, so (i, j) is
-    # where the two orbits first meet.
+                i = tx
+                while i and j and sx.window_equal(i - 1, sy, j - 1):
+                    i, j = i - 1, j - 1
+                budget.charge(tx - i + 1)
+                candidates[(xi, yi)] = (i, j)
     out = {}
     for (xi, yi), (i, j) in sorted(candidates.items()):
         sx, sy = streams[xi], streams[yi]

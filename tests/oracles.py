@@ -7,8 +7,10 @@ that way; these functions are the ground truth for the optimized paths.
 
 import math
 import weakref
+import zlib
 from collections import deque
 
+from fgindex import gamma
 from fgindex.errors import InvariantViolation, NotPrimitive
 from fgindex.errors import UndefinedShift
 from fgindex.prefix_suffix import (
@@ -408,6 +410,55 @@ def natural_peel_depth(stream, i):
     while depth < i and i - depth - 1 + stream.lens[i - depth - 1] >= i:
         depth += 1
     return depth
+
+
+def all_matches_by_windows(phi, k, side, starts, budget):
+    """gamma.all_matches by a hash join over every window of every stream.
+
+    Windows are bucketed by (length, CRC-32 of their bytes); every pair of
+    windows of two streams in one bucket is charged one letter, and
+    window_equal decides whether it proposes a match.  Each pair of streams
+    keeps its least equal windows: were windows i - 1 and j - 1 equal, they
+    would share a bucket and be less.  Without a CRC-32 collision the charge
+    is one letter per pair of equal windows.  The streams, star indices and
+    horizon are gamma's own; the cutoff box is not checked.
+    """
+    if any(n == 0 for _, n in starts):
+        raise ValueError("empty affixes are matched separately")
+    if len(starts) < 2:
+        return {}
+    g = gamma.gamma_bound(phi, k, side, budget)
+    table = gamma._block_table(phi, k, side, budget)
+    streams = [gamma.Stream(table, a, n, budget) for a, n in starts]
+    stars = [gamma.star_index(s, g, budget) for s in streams]
+    horizon = max(s.lens[i] for s, i in zip(streams, stars))
+    buckets = {}
+    for idx, s in enumerate(streams):
+        s.ensure_len(horizon)
+        for i, n in enumerate(s.lens):
+            window = bytes(s.data[i * s.width:(i + n) * s.width])
+            buckets.setdefault((n, zlib.crc32(window)), []).append((idx, i))
+    candidates = {}
+    for entries in buckets.values():
+        for pos, (xi, m) in enumerate(entries):
+            for yi, n in entries[pos + 1:]:
+                if xi == yi:
+                    continue
+                budget.charge(1)
+                pair = (xi, yi) if xi < yi else (yi, xi)
+                cand = (m, n) if xi < yi else (n, m)
+                old = candidates.get(pair)
+                if old is not None and old <= cand:
+                    continue
+                if streams[pair[0]].window_equal(
+                    cand[0], streams[pair[1]], cand[1]
+                ):
+                    candidates[pair] = cand
+    out = {}
+    for (xi, yi), (i, j) in sorted(candidates.items()):
+        w = streams[xi].word_at(i)
+        out[(xi, yi)] = (i, j, invert(w) if side == "plus" else w[::-1])
+    return out
 
 
 def two_factor_scan(phi, cap=40, length_cap=300_000):

@@ -1,4 +1,6 @@
 import types
+import zlib
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +58,35 @@ def stream(phi, k, side, start):
     """The stream all_matches builds for one start."""
     a, n = start
     return Stream(_block_table(phi, k, side, unlimited()), a, n, unlimited())
+
+
+def grown_streams(phi, k, side):
+    """The streams all_matches grows for the side's affixes at level k, each
+    up to its first window longer than the common horizon."""
+    budget = unlimited()
+    g = gamma_bound(phi, k, side, budget)
+    table = _block_table(phi, k, side, budget)
+    streams = [Stream(table, a, n, budget) for _, (a, n) in starts(phi, k, side)]
+    horizon = max((s.lens[star_index(s, g, budget)] for s in streams), default=0)
+    for s in streams:
+        s.ensure_len(horizon)
+    return streams
+
+
+def last_keys(s, steps):
+    """The keys of windows 0..steps of s, each taken by last_key while it is
+    the newest."""
+    out = []
+    for t in range(steps + 1):
+        s.ensure_steps(t)
+        out.append(s.last_key())
+    return out
+
+
+def twin(phi):
+    """A copy of phi with none of its images or inverse blocks built, so
+    the same calls charge it what they charge phi."""
+    return relabelled(phi, list(range(1, phi.rank + 1)))
 
 
 def word_at(stream, i, side):
@@ -121,14 +152,10 @@ def test_stream_yields_the_rotation_orbit(phi):
 
 
 def test_stream_hashes_separate_unequal_windows(rank4):
-    streams = [stream(rank4, 1, "minus", x) for _, x in starts(rank4, 1, "minus")]
-    for s in streams:
-        s.ensure_steps(5)
-    windows = [
-        (key, s.word_at(i))
-        for s in streams
-        for i, key in enumerate(s.window_keys())
-    ]
+    windows = []
+    for _, x in starts(rank4, 1, "minus"):
+        s = stream(rank4, 1, "minus", x)
+        windows += zip(last_keys(s, 5), map(s.word_at, range(6)))
     for ha, wa in windows:
         for hb, wb in windows:
             assert (ha == hb) == (wa == wb)
@@ -136,42 +163,53 @@ def test_stream_hashes_separate_unequal_windows(rank4):
 
 def test_hash_collisions_cannot_change_a_match(phi, monkeypatch):
     # A key only proposes a pair; window_equal decides it.  A length-only
-    # key makes every two windows of one length collide, and a constant key
-    # every two windows, so the join sees unequal candidates and must drop
-    # them.
-    cases = [
-        (k, side, [x for _, x in starts(phi, k, side)])
-        for k in (1, 2)
-        for side in SIDES
-    ]
-    exact = [all_matches(phi, k, side, xs, unlimited()) for k, side, xs in cases]
-    for keys in (lambda s: list(s.lens), lambda s: [0] * len(s.lens)):
-        monkeypatch.setattr(Stream, "window_keys", keys)
-        for (k, side, xs), expected in zip(cases, exact):
-            assert all_matches(phi, k, side, xs, unlimited()) == expected
-    # Under the length-only key, some key stands for unequal windows.
-    by_key = {}
-    for k, side, xs in cases:
-        for x in xs:
-            s = stream(phi, k, side, x)
-            s.ensure_steps(6)
-            for i in range(7):
-                by_key.setdefault((k, side, s.lens[i]), set()).add(s.word_at(i))
-    assert any(len(words) > 1 for words in by_key.values())
+    # key makes every two last windows of one length collide, and a constant
+    # key every two, so the join sees unequal candidates and must drop them
+    # without charging for them.
+    def run():
+        fresh, out = twin(phi), []
+        for k in (1, 2, 3):
+            for side in SIDES:
+                budget = unlimited()
+                xs = [x for _, x in starts(fresh, k, side)]
+                out.append((all_matches(fresh, k, side, xs, budget), budget.used))
+        return out
+
+    exact = run()
+    for key in (lambda s: s.lens[-1], lambda s: 0):
+        calls = []
+        monkeypatch.setattr(
+            Stream, "last_key", lambda s, key=key: calls.append(s) or key(s)
+        )
+        assert run() == exact
+        assert calls
+    # Under either key some key stands for unequal last windows, except that
+    # fibonacci, the one map of rank 2, has no two last windows of a length.
+    lengths, constant = {}, {}
+    for k in (1, 2, 3):
+        for side in SIDES:
+            for s in grown_streams(phi, k, side):
+                t = len(s.lens) - 1
+                lengths.setdefault((k, side, s.lens[t]), set()).add(s.word_at(t))
+                constant.setdefault((k, side), set()).add(s.word_at(t))
+    assert any(len(words) > 1 for words in constant.values())
+    assert any(len(words) > 1 for words in lengths.values()) or phi.rank == 2
 
 
-def test_window_keys_release_the_stream_bytes(rank4):
-    # window_keys reads the bytes through a memoryview; a view still held
+def test_last_key_releases_the_stream_bytes(rank4):
+    # last_key reads the bytes through a memoryview; a view still held
     # would make growing the stream raise BufferError.
     for side in SIDES:
         for _, start in starts(rank4, 2, side):
             s = stream(rank4, 2, side, start)
             s.ensure_steps(4)
-            keys = s.window_keys()
+            keys = {4: s.last_key()}
             s.ensure_steps(8)
-            grown = s.window_keys()
-            assert len(grown) == 9
-            assert grown[: len(keys)] == keys
+            keys[8] = s.last_key()
+            w = s.width
+            for i, key in keys.items():
+                window = bytes(s.data[i * w:(i + s.lens[i]) * w])
+                assert key == (s.lens[i], zlib.crc32(window))
 
 
 def test_stream_window_equal_is_word_equality(rank3):
@@ -190,15 +228,15 @@ def test_stream_window_equal_is_word_equality(rank3):
 def _assert_streams_match_letter_reference(phi, k_max=3, steps=12):
     # Streams grown a block at a time hold the per-letter reference's
     # windows, both when grown step by step and by length, and over all the
-    # windows of a level and side, two keys are equal exactly when their
-    # words are.
+    # windows of a level and side, each keyed while it is the newest, two
+    # keys are equal exactly when their words are.
     for k in range(1, k_max + 1):
         for side in SIDES:
             words_of, keys_of = {}, {}
             for u, start in starts(phi, k, side):
                 by_steps = stream(phi, k, side, start)
                 ref = oracles.StreamByLetters(phi, k, side, u)
-                by_steps.ensure_steps(steps)
+                keys = last_keys(by_steps, steps)
                 ref.ensure_steps(steps)
                 by_len = stream(phi, k, side, start)
                 ref_len = oracles.StreamByLetters(phi, k, side, u)
@@ -206,11 +244,15 @@ def _assert_streams_match_letter_reference(phi, k_max=3, steps=12):
                 ref_len.ensure_len(max(ref.lens))
                 for s, expected in ((by_steps, ref), (by_len, ref_len)):
                     assert s.lens == expected.lens
-                    for i, key in enumerate(s.window_keys()):
+                    for i in range(len(s.lens)):
                         word = word_at(s, i, side)
                         assert word == expected.word_at(i)
-                        words_of.setdefault(key, set()).add(word)
-                        keys_of.setdefault(word, set()).add(key)
+                        if s is by_steps:
+                            words_of.setdefault(keys[i], set()).add(word)
+                            keys_of.setdefault(word, set()).add(keys[i])
+                key = by_len.last_key()
+                words_of.setdefault(key, set()).add(word)
+                keys_of.setdefault(word, set()).add(key)
             assert all(len(words) == 1 for words in words_of.values())
             assert all(len(keys) == 1 for keys in keys_of.values())
 
@@ -520,6 +562,76 @@ def test_all_matches_equals_pairwise_matching(phi):
                 for yi in range(xi + 1, len(xs)):
                     lone = pair_match(phi, k, side, xs[xi], xs[yi])
                     assert joint.get((xi, yi)) == lone
+
+
+def _assert_matches_all_window_join(phi, ref, k_max):
+    """all_matches on phi against the all-window join on its twin ref, at
+    levels 1..k_max on both sides: each call's matches and charges."""
+    found = 0
+    for k in range(1, k_max + 1):
+        for side in SIDES:
+            used, ref_used = unlimited(), unlimited()
+            xs = [x for _, x in starts(phi, k, side)]
+            got = all_matches(phi, k, side, xs, used)
+            ref_xs = [x for _, x in starts(ref, k, side)]
+            assert got == oracles.all_matches_by_windows(ref, k, side, ref_xs, ref_used)
+            assert used.used == ref_used.used
+            found += len(got)
+    return found
+
+
+def test_all_matches_equals_all_window_join():
+    found = {
+        name: _assert_matches_all_window_join(fresh_map(name), fresh_map(name), 3)
+        for name in ("rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic")
+    }
+    assert sum(found.values()) > 0, found
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms().filter(lambda phi: phi.rank <= 3))
+def test_all_matches_equals_all_window_join_on_drawn_automorphisms(phi):
+    k_max = 0
+    while k_max < 3 and max(phi.image_lengths(k_max + 1)) <= 100:
+        k_max += 1
+    _assert_matches_all_window_join(phi, twin(phi), k_max)
+
+
+def test_equal_windows_of_two_streams_are_one_diagonal_to_their_ends():
+    # What lets all_matches key only the last windows: no stream repeats a
+    # window, and the equal windows of two streams, found by comparing every
+    # pair, run from their first meeting to both last windows.
+    starts_at = set()
+    for name in ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"] + [
+        f"family{n}" for n in range(2, 7)
+    ]:
+        phi = fresh_map(name)
+        for k in (1, 2, 3):
+            for side in SIDES:
+                streams = grown_streams(phi, k, side)
+                for s in streams:
+                    assert not any(
+                        s.window_equal(i, s, j)
+                        for i in range(len(s.lens))
+                        for j in range(i)
+                    )
+                for sx, sy in combinations(streams, 2):
+                    tx, ty = len(sx.lens) - 1, len(sy.lens) - 1
+                    hits = [
+                        (i, j)
+                        for i in range(tx + 1)
+                        for j in range(ty + 1)
+                        if sx.window_equal(i, sy, j)
+                    ]
+                    if hits:
+                        i, j = hits[0]
+                        assert tx - i == ty - j
+                        assert hits == [(i + m, j + m) for m in range(tx - i + 1)]
+                        starts_at.add((i > 0 and j > 0, tx > i))
+    # Some diagonals begin at a first window and some past both, where the
+    # walk back stops at unequal windows; some hold more than one pair.
+    assert {first for first, _ in starts_at} == {False, True}
+    assert any(longer for _, longer in starts_at)
 
 
 def test_all_matches_rejects_blank_affixes(rank4):

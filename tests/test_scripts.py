@@ -62,7 +62,7 @@ def test_forced_levels_prints_a_row_per_level():
 
 def _assert_forced_levels_charge_the_frozen_letters(name, top):
     # The deterministic columns of levels 1..top: what a change to how a
-    # level is computed may not move.  CI checks one level more.
+    # level is computed may not move.  CI checks every frozen row.
     out = run_script("forced_levels.py", name, str(top))
     assert out.returncode == 0, out.stderr
     got = [line.split("\t") for line in out.stdout.splitlines()]
@@ -85,6 +85,13 @@ def test_forced_rank14_cyclic_levels_charge_the_frozen_letters():
     # rank14_cyclic charges few of its letters in gamma_bound, so its rows
     # freeze the rest of a level: the streams, the peel search and the join.
     _assert_forced_levels_charge_the_frozen_letters("rank14_cyclic", 5)
+
+
+def test_forced_rank4_levels_charge_the_frozen_letters():
+    # rank4's level 5 joins 3297 streams over its two sides, the widest join
+    # of the frozen tables.  Its table has five rows, and this checks them
+    # all.
+    _assert_forced_levels_charge_the_frozen_letters("rank4", 5)
 
 
 def test_report_digests_do_not_depend_on_hash_order():
