@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Print one `label sha256` row per fixed input, digesting its full report.
+"""Print one `label report result` row per fixed input: two SHA-256 digests.
 
-The digest covers the JSON report (`indent=2, sort_keys=True`, as
+The report digest covers the JSON report (`indent=2, sort_keys=True`, as
 `fgindex report --json` writes it) followed by the DOT graph, so any change
-to a reported number, the sweep bookkeeping included, changes the row.  Run
-it on two checkouts and diff the output to check that a change leaves every
+to a reported number, the sweep bookkeeping included, changes it.  The
+result digest covers the same text with `sweep.budget_used` left out, so a
+change to how letters are charged moves only the report column.  Run it on
+two checkouts and diff the output to check that a change leaves every
 report byte-identical; run it under two PYTHONHASHSEED values to check that
 reports do not depend on hash order.
 """
@@ -47,22 +49,26 @@ INPUTS = (
 )
 
 
-def report_digest(source, kwargs):
+def report_digests(source, kwargs):
+    """(report digest, result digest) of one input."""
     if isinstance(source, int):
         phi = cyclic_family(source)
     else:
         phi = load_automorphism(str(AUT_DIR / f"{source}.aut"))
     analysis = analyze(phi, RunConfig(**kwargs))
-    text = json.dumps(report_dict(analysis), indent=2, sort_keys=True) + "\n"
-    text += sgraph.to_dot(
+    report = report_dict(analysis)
+    dot = sgraph.to_dot(
         phi, analysis.result.singularities, analysis.graph, phi.alphabet
     )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    full = json.dumps(report, indent=2, sort_keys=True) + "\n" + dot
+    del report["sweep"]["budget_used"]
+    result = json.dumps(report, indent=2, sort_keys=True) + "\n" + dot
+    return [hashlib.sha256(t.encode("utf-8")).hexdigest() for t in (full, result)]
 
 
 def main():
     for label, source, kwargs in INPUTS:
-        print(label, report_digest(source, kwargs), flush=True)
+        print(label, *report_digests(source, kwargs), flush=True)
     return 0
 
 

@@ -283,13 +283,14 @@ def validate(alphabet, images, inverse_images):
             )
     phi = Automorphism(alphabet, images, inverse_images)
     for a in alphabet.letters():
-        back = phi.apply(phi.inverse_images[a - 1], 1, "forward")
+        # Not through apply, which would cache level-1 images uncharged.
+        back = concat(*map(phi.image_of_letter, phi.inverse_images[a - 1]))
         if back != (a,):
             raise NotInverse(
                 f"phi(inv({alphabet.format_letter(a)})) = "
                 f"{alphabet.format_word(back)}, expected {alphabet.format_letter(a)}"
             )
-        forth = phi.apply(phi.images[a - 1], 1, "inverse")
+        forth = concat(*map(phi.inverse_image_of_letter, phi.images[a - 1]))
         if forth != (a,):
             raise NotInverse(
                 f"inv(phi({alphabet.format_letter(a)})) = "

@@ -2,7 +2,9 @@
 
 The budget counts letters materialized by word-producing operations.  It is a
 truncation guard, not a correctness condition: when it runs out the sweep
-stops early and reports itself incomplete.
+stops early and reports itself incomplete.  Reading letters already charged
+is free: a peel check reads stream bytes whose growth was charged, so the
+charges of a level do not depend on which streams the star search visits.
 """
 
 from __future__ import annotations

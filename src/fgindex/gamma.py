@@ -375,6 +375,15 @@ class Stream:
             lens.append(lens[t] - 1 + n)
             t += 1
 
+    def peek_len(self, i):
+        """The length of window i, read off the stored letters 0 .. i - 1
+        without growing; i must not pass the start's length."""
+        data, w = self.data, self.width
+        return self.lens[0] + sum(
+            self.table[int.from_bytes(data[t * w:(t + 1) * w], "big")][2] - 1
+            for t in range(i)
+        )
+
     def last_key(self):
         """(length, CRC-32 of the bytes) of the newest window, which runs to
         the end of the stored bytes, read in place through a view released
@@ -452,13 +461,13 @@ def _peelable(stream, i, depth_needed, ends):
     return False
 
 
-def star_index(stream, g, budget):
+def star_index(stream, g):
     """Smallest positive step whose window peels deeper than g.  The block
-    ends found are kept for this search only."""
+    ends found are kept for this search only.  Growing the stream to a step
+    is charged; a peel check is not, since it reads only grown bytes."""
     ends = {}
     for i in range(1, _STAR_CAP + 1):
         stream.ensure_steps(i)
-        budget.charge(1)
         if _peelable(stream, i, g, ends):
             return i
     raise CapExceeded("rotation never reached the peel condition")
@@ -473,6 +482,37 @@ def _first_longer(stream, bound):
     return i
 
 
+def _horizon(streams, g):
+    """(horizon, stars): the longest star window of the streams, and the
+    star index of each stream searched, None for the others.
+
+    An affix longer than g peels its natural parse deeper than g at step
+    g + 1, so its star window is at most its window g + 1, a cap read off
+    the affix.  The streams with affixes no longer than g are searched
+    first, then the capped ones by falling cap while a cap is longer than
+    the longest star window found, a tier of equal caps at a time, so that
+    the streams searched do not depend on their order.  Past _STAR_CAP
+    nothing is capped, so CapExceeded still fires.
+    """
+    stars = [None] * len(streams)
+    tiers = {}
+    for idx, s in enumerate(streams):
+        if s.lens[0] > g and g < _STAR_CAP:
+            tiers.setdefault(s.peek_len(g + 1), []).append(idx)
+        else:
+            stars[idx] = star_index(s, g)
+    horizon = max(
+        (s.lens[i] for s, i in zip(streams, stars) if i is not None), default=0
+    )
+    for cap in sorted(tiers, reverse=True):
+        if cap <= horizon:
+            break
+        for idx in tiers[cap]:
+            stars[idx] = star_index(streams[idx], g)
+            horizon = max(horizon, streams[idx].lens[stars[idx]])
+    return horizon, stars
+
+
 def all_matches(phi, k, side, starts, budget):
     """Minimal matches for every unordered pair of distinct nonempty affixes.
 
@@ -480,7 +520,10 @@ def all_matches(phi, k, side, starts, budget):
     phi^k(a) = p a s with that affix (p on the minus side, s on the plus
     side), and n is the affix's length.  Shares one stream per affix and one
     hash join on the streams' last windows, so the whole level costs little
-    more than growing each stream to the common horizon.  Returns
+    more than growing each stream to the common horizon, the longest star
+    window.  Only the streams that can set the horizon are searched for
+    their stars (see _horizon), and a matched pair's unsearched stars,
+    uncharged, for its cutoff box.  Returns
     {(xi, yi): (i, j, w)} indexed by positions in starts, with w the common
     rotation value as a label word: reversed on the minus side, inverted on
     the plus side.
@@ -492,8 +535,7 @@ def all_matches(phi, k, side, starts, budget):
     g = gamma_bound(phi, k, side, budget)
     table = _block_table(phi, k, side, budget)
     streams = [Stream(table, a, n, budget) for a, n in starts]
-    stars = [star_index(s, g, budget) for s in streams]
-    horizon = max(s.lens[i] for s, i in zip(streams, stars))
+    horizon, stars = _horizon(streams, g)
     for s in streams:
         s.ensure_len(horizon)
     # Rotation is deterministic, so once windows x_i and y_j are equal so
@@ -524,6 +566,11 @@ def all_matches(phi, k, side, starts, budget):
     out = {}
     for (xi, yi), (i, j) in sorted(candidates.items()):
         sx, sy = streams[xi], streams[yi]
+        # An unsearched star window is no longer than the horizon, which
+        # the stream has grown past: finding it now grows nothing.
+        for idx in (xi, yi):
+            if stars[idx] is None:
+                stars[idx] = star_index(streams[idx], g)
         lx = sx.lens[stars[xi]]
         ly = sy.lens[stars[yi]]
         if lx > ly:

@@ -430,7 +430,7 @@ def all_matches_by_windows(phi, k, side, starts, budget):
     g = gamma.gamma_bound(phi, k, side, budget)
     table = gamma._block_table(phi, k, side, budget)
     streams = [gamma.Stream(table, a, n, budget) for a, n in starts]
-    stars = [gamma.star_index(s, g, budget) for s in streams]
+    stars = [gamma.star_index(s, g) for s in streams]
     horizon = max(s.lens[i] for s, i in zip(streams, stars))
     buckets = {}
     for idx, s in enumerate(streams):

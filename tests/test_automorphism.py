@@ -287,3 +287,12 @@ def test_validate_builds_an_automorphism(fibonacci):
     assert phi.rank == 2
     assert phi.images == fibonacci.images
     assert phi.inverse_images == fibonacci.inverse_images
+
+
+def test_loaded_maps_hold_no_uncharged_images():
+    # validate checks the inverse images without apply, whose pure positive
+    # path would cache level-1 images that no budget was charged for.
+    for name in ("rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"):
+        assert load_automorphism(aut_path(name))._img_cache == {}
+    for n in range(2, 10):
+        assert cyclic_family(n)._img_cache == {}

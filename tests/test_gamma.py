@@ -10,7 +10,7 @@ import fgindex.gamma
 from fgindex import load_automorphism
 from fgindex.automorphism import validate
 from fgindex.config import Budget
-from fgindex.errors import BudgetExceeded, InvariantViolation
+from fgindex.errors import BudgetExceeded, CapExceeded, InvariantViolation
 from fgindex.families import cyclic_family
 from fgindex.gamma import (
     Stream,
@@ -67,7 +67,7 @@ def grown_streams(phi, k, side):
     g = gamma_bound(phi, k, side, budget)
     table = _block_table(phi, k, side, budget)
     streams = [Stream(table, a, n, budget) for _, (a, n) in starts(phi, k, side)]
-    horizon = max((s.lens[star_index(s, g, budget)] for s in streams), default=0)
+    horizon = max((s.lens[star_index(s, g)] for s in streams), default=0)
     for s in streams:
         s.ensure_len(horizon)
     return streams
@@ -451,8 +451,62 @@ def test_star_index_matches_direct_search(phi):
         for side in SIDES:
             g = gamma_bound(phi, k, side, unlimited())
             for u, start in starts(phi, k, side)[:4]:
-                got = star_index(stream(phi, k, side, start), g, unlimited())
+                got = star_index(stream(phi, k, side, start), g)
                 assert got == oracles.star_scan(phi, k, side, u, g)
+
+
+def _assert_stars_within_their_caps(phi, k_max):
+    """Every affix longer than the bound g has its star index at most g + 1
+    and its star window no longer than its cap, window g + 1, which
+    peek_len reads off a fresh stream without growing it.  Returns how many
+    affixes were capped."""
+    capped = 0
+    for k in range(1, k_max + 1):
+        for side in SIDES:
+            g = gamma_bound(phi, k, side, unlimited())
+            for _, start in starts(phi, k, side):
+                if start[1] <= g:
+                    continue
+                s = stream(phi, k, side, start)
+                cap = s.peek_len(g + 1)
+                assert (len(s.lens), s.budget.used) == (1, 0)
+                star = star_index(s, g)
+                s.ensure_steps(g + 1)
+                assert star <= g + 1
+                assert s.lens[star] <= cap == s.lens[g + 1]
+                capped += 1
+    return capped
+
+
+def test_stars_stay_within_their_caps():
+    capped = [
+        _assert_stars_within_their_caps(fresh_map(name), 3)
+        for name in ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
+        + [f"family{n}" for n in range(2, 7)]
+    ]
+    assert all(capped), capped
+
+
+@settings(max_examples=30, deadline=None)
+@given(positive_automorphisms())
+def test_stars_stay_within_their_caps_on_drawn_automorphisms(phi):
+    k_max = 0
+    while k_max < 3 and max(phi.image_lengths(k_max + 1)) <= 100:
+        k_max += 1
+    _assert_stars_within_their_caps(phi, k_max)
+
+
+def test_star_cap_below_the_peel_step_searches_every_stream(monkeypatch):
+    # At rank3 level 3 the minus bound is 3, and 29 of the 32 affixes are
+    # longer.  With the search cap at 3, one of those peels only at step 4,
+    # past the cap, and all_matches must search it to raise, though a
+    # stream searched before it already holds the longest star window.
+    phi = fresh_map("rank3")
+    xs = [x for _, x in starts(phi, 3, "minus")]
+    assert gamma_bound(phi, 3, "minus", unlimited()) == 3
+    monkeypatch.setattr(fgindex.gamma, "_STAR_CAP", 3)
+    with pytest.raises(CapExceeded, match="peel condition"):
+        all_matches(phi, 3, "minus", xs, unlimited())
 
 
 def _assert_peel_matches_letter_reference(phi, k_max=3):
@@ -468,7 +522,7 @@ def _assert_peel_matches_letter_reference(phi, k_max=3):
             g = gamma_bound(phi, k, side, unlimited())
             for u, start in starts(phi, k, side):
                 searched = stream(phi, k, side, start)
-                star = star_index(searched, g, unlimited())
+                star = star_index(searched, g)
                 fresh = stream(phi, k, side, start)
                 ref = oracles.StreamByLetters(phi, k, side, u)
                 ref.ensure_steps(star)
@@ -562,6 +616,47 @@ def test_all_matches_equals_pairwise_matching(phi):
                 for yi in range(xi + 1, len(xs)):
                     lone = pair_match(phi, k, side, xs[xi], xs[yi])
                     assert joint.get((xi, yi)) == lone
+
+
+def _assert_starts_in_any_order_match_alike(name, k_max=3):
+    """all_matches on the starts in affix order and in two other orders,
+    each on a fresh copy of the map: the same matches, re-indexed, and the
+    same charges.  Returns how many matches the affix order found."""
+    found = 0
+    for k in range(1, k_max + 1):
+        for side in SIDES:
+            xs = [x for _, x in starts(fresh_map(name), k, side)]
+            used = unlimited()
+            want = all_matches(fresh_map(name), k, side, xs, used)
+            found += len(want)
+            n = len(xs)
+            for perm in (
+                list(reversed(range(n))),
+                list(range(1, n, 2)) + list(range(0, n, 2)),
+            ):
+                moved_used = unlimited()
+                moved = all_matches(
+                    fresh_map(name), k, side, [xs[p] for p in perm], moved_used
+                )
+                got = {}
+                for (a, b), (i, j, w) in moved.items():
+                    x, y = perm[a], perm[b]
+                    if x < y:
+                        got[(x, y)] = i, j, w
+                    else:
+                        got[(y, x)] = j, i, w
+                assert got == want
+                assert moved_used.used == used.used
+    return found
+
+
+def test_all_matches_ignores_the_order_of_the_starts():
+    found = {
+        name: _assert_starts_in_any_order_match_alike(name)
+        for name in ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
+        + [f"family{n}" for n in range(2, 7)]
+    }
+    assert sum(found.values()) > 0, found
 
 
 def _assert_matches_all_window_join(phi, ref, k_max):

@@ -576,8 +576,8 @@ def test_gate_tables_requested_out_of_order():
 @pytest.mark.parametrize(
     "name, full_levels, budget_used, doubled",
     [
-        ("rank14_cyclic", [1, 2, 3], 11887, 15),
-        ("rank6_cyclic", [1, 2, 3, 4], 38104, 9),
+        ("rank14_cyclic", [1, 2, 3], 11693, 15),
+        ("rank6_cyclic", [1, 2, 3, 4], 37938, 9),
     ],
 )
 def test_gate_decisions_at_level_600_are_frozen(name, full_levels, budget_used, doubled):
@@ -747,9 +747,9 @@ def test_sweep_cost_does_not_grow_with_max_k(name, monkeypatch):
 @pytest.mark.parametrize(
     "source, config, top, budget_used, doubled",
     [
-        ("rank14_cyclic", RunConfig(max_k=5, budget=10**12), 5, 1152494, 8),
-        ("rank6_cyclic", RunConfig(max_k=7, budget=10**12), 7, 15194280, 9),
-        (9, RunConfig(), 24, 373850, 16),
+        ("rank14_cyclic", RunConfig(max_k=5, budget=10**12), 5, 1149723, 8),
+        ("rank6_cyclic", RunConfig(max_k=7, budget=10**12), 7, 15193429, 9),
+        (9, RunConfig(), 24, 372045, 16),
     ],
     ids=["rank14_cyclic-k5", "rank6_cyclic-k7", "family9"],
 )
