@@ -8,7 +8,9 @@ level: its wall time, the wall time of its two gamma_bound calls and of its
 star_index calls (the stream layer's peel search up to each star index), the
 letters it charged (all of them, and gamma_bound's alone), the doubled index
 of the classes found so far, the peak RSS of the process so far, and the
-number of windows the peel search checked (one _peelable call each).
+number of windows the peel search checked (one _peelable call each): one
+per stream visited for the horizon, plus the search on of each stream that
+raises it, plus the searches of matched streams for their cutoff boxes.
 
     python scripts/forced_levels.py rank6_cyclic 9
     python scripts/forced_levels.py path/to/map.aut 5

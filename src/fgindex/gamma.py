@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from collections import Counter
+from math import inf
 
 from .errors import CapExceeded, InvariantViolation
 from .words import invert
@@ -96,10 +96,12 @@ class _InverseBlocks:
 
     def block(self, x, k):
         """Level k of x, built uncharged if it is missing."""
-        self.levels += [{} for _ in range(len(self.levels), k + 1)]
-        if x not in self.levels[k]:
+        try:
+            return self.levels[k][x]
+        except (IndexError, KeyError):
+            self.levels += [{} for _ in range(len(self.levels), k + 1)]
             self._build(abs(x), k)
-        return self.levels[k][x]
+            return self.levels[k][x]
 
     def _build(self, c, j):
         """Level j of c and every lower level it needs, depth first."""
@@ -144,22 +146,24 @@ def gamma_bound(phi, k, side, budget):
     only for its own side, before any walk, and exactly what a scan of that
     side's affixes pushing one block per position costs: in letter order,
     the image of each letter, the levels of the inverse blocks its scanned
-    positions read that no earlier read charged, and one block per scanned
-    position.
+    positions read that no read charged before, then one block per position.
     """
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
     plus = side == "plus"
     inverse = _inverse_blocks(phi)
+    occ, sizes = phi.occurrence_matrix(k), {}
     for a in phi.alphabet.letters():
         image = phi.letter_image(a, k, budget)
-        # The scanned positions, each letter first met where the scan meets
-        # it (a Counter keeps that order), so the reads charge in scan order:
-        # the plus side scans prefixes left to right, the minus side
-        # suffixes right to left.
-        size = 0
-        for c, n in Counter(image[:-1] if plus else image[:0:-1]).items():
-            size += n * len(inverse.read(c, k, budget)[0])
+        # Each block is read where the scan first meets its letter, so the
+        # reads charge in scan order: plus scans image[:-1] left to right,
+        # minus image[1:] right to left; the counts are occ's less skip's.
+        scanned = dict.fromkeys(image[:-1] if plus else image[:0:-1])
+        for c in scanned:
+            if c not in sizes:
+                sizes[c] = len(inverse.read(c, k, budget)[0])
+        skip = image[-1] if plus else image[0]
+        size = sum((occ[c - 1][a - 1] - (c == skip)) * sizes[c] for c in scanned)
         budget.charge(size // inverse.width)
     bounds = inverse.bounds.get(k)
     if bounds is None:
@@ -300,14 +304,14 @@ def _suffix_trie(blocks):
 
 
 def _block_table(phi, k, side, budget):
-    """(table, trie, letters) for the blocks phi^k(c) of every letter c in
-    stream order (reversed on the minus side), letters encoded as
-    _InverseBlocks encodes them.
+    """(table, trie, letters, lengths) for the blocks phi^k(c) of every
+    letter c in stream order (reversed on the minus side), letters encoded
+    as _InverseBlocks encodes them.
 
     table is {code: (c, block, n)}: code is the encoding of c read as a
     big-endian integer, and n counts the block's letters.  trie is the
-    blocks' _suffix_trie, and letters is _InverseBlocks' encoding
-    {x: (enc(x), enc(x^-1))} of signed letters.
+    blocks' _suffix_trie, letters is _InverseBlocks' encoding
+    {x: (enc(x), enc(x^-1))} of signed letters, and lengths is {code: n}.
     """
     inverse = _inverse_blocks(phi)
     letters, table = inverse.levels[0], {}
@@ -320,7 +324,8 @@ def _block_table(phi, k, side, budget):
         else:
             blk = b"".join([letters[x][0] for x in img])
         table[int.from_bytes(letters[c][0], "big")] = (c, blk, len(img))
-    return table, _suffix_trie([entry[1] for entry in table.values()]), letters
+    trie = _suffix_trie([entry[1] for entry in table.values()])
+    return table, trie, letters, {code: e[2] for code, e in table.items()}
 
 
 class Stream:
@@ -341,7 +346,7 @@ class Stream:
     """
 
     def __init__(self, table, letter, n, budget):
-        self.table, self.trie, letters = table
+        self.table, self.trie, letters, self.lengths = table
         self.budget = budget
         enc = letters[letter][0]
         self.width = len(enc)
@@ -365,10 +370,7 @@ class Stream:
         charge = self.budget.charge
         t = len(lens) - 1
         while t < steps or lens[t] <= bound:
-            if w == 1:
-                code = data[t]
-            else:
-                code = int.from_bytes(data[t * w:(t + 1) * w], "big")
+            code = data[t] if w == 1 else int.from_bytes(data[t * w:(t + 1) * w], "big")
             _, blk, n = table[code]
             charge(n)
             data += blk
@@ -379,10 +381,11 @@ class Stream:
         """The length of window i, read off the stored letters 0 .. i - 1
         without growing; i must not pass the start's length."""
         data, w = self.data, self.width
-        return self.lens[0] + sum(
-            self.table[int.from_bytes(data[t * w:(t + 1) * w], "big")][2] - 1
-            for t in range(i)
-        )
+        if w == 1:
+            codes = data[:i]
+        else:
+            codes = [int.from_bytes(data[t * w:(t + 1) * w], "big") for t in range(i)]
+        return self.lens[0] - i + sum(map(self.lengths.__getitem__, codes))
 
     def last_key(self):
         """(length, CRC-32 of the bytes) of the newest window, which runs to
@@ -461,12 +464,21 @@ def _peelable(stream, i, depth_needed, ends):
     return False
 
 
-def star_index(stream, g):
-    """Smallest positive step whose window peels deeper than g.  The block
-    ends found are kept for this search only.  Growing the stream to a step
-    is charged; a peel check is not, since it reads only grown bytes."""
+def star_index(stream, g, horizon=0):
+    """Smallest positive step whose window peels deeper than g, or None if
+    that window is no longer than horizon.  Peeling is monotone in the step:
+    a chain of more than g blocks ending window i, less its first block,
+    plus the block of step i, ends window i + 1.  So once the stream is
+    grown past horizon, a check of the last window within it (none past
+    _STAR_CAP) settles the star there or starts the search after it.  The
+    block ends found are kept for this search only.  Growing the stream is
+    charged; a peel check is not, since it reads only grown bytes."""
+    stream.ensure_len(horizon)
     ends = {}
-    for i in range(1, _STAR_CAP + 1):
+    last = min(bisect_right(stream.lens, horizon) - 1, _STAR_CAP)
+    if last > 0 and _peelable(stream, last, g, ends):
+        return None
+    for i in range(max(last, 0) + 1, _STAR_CAP + 1):
         stream.ensure_steps(i)
         if _peelable(stream, i, g, ends):
             return i
@@ -484,32 +496,28 @@ def _first_longer(stream, bound):
 
 def _horizon(streams, g):
     """(horizon, stars): the longest star window of the streams, and the
-    star index of each stream searched, None for the others.
+    star index of each stream that raised it, None for the others.
 
-    An affix longer than g peels its natural parse deeper than g at step
-    g + 1, so its star window is at most its window g + 1, a cap read off
-    the affix.  The streams with affixes no longer than g are searched
-    first, then the capped ones by falling cap while a cap is longer than
-    the longest star window found, a tier of equal caps at a time, so that
-    the streams searched do not depend on their order.  Past _STAR_CAP
-    nothing is capped, so CapExceeded still fires.
+    Each stream visited is settled by star_index against the horizon so
+    far.  An affix longer than g peels its natural parse deeper than g at
+    step g + 1, so its star window is at most its window g + 1, a cap read
+    off the affix.  The uncapped streams go first, then the capped ones by
+    falling cap while a cap beats the horizon, a tier of equal caps at a
+    time, so that the streams visited do not depend on their order.  Past
+    _STAR_CAP nothing is capped, so CapExceeded still fires.
     """
-    stars = [None] * len(streams)
     tiers = {}
     for idx, s in enumerate(streams):
-        if s.lens[0] > g and g < _STAR_CAP:
-            tiers.setdefault(s.peek_len(g + 1), []).append(idx)
-        else:
-            stars[idx] = star_index(s, g)
-    horizon = max(
-        (s.lens[i] for s, i in zip(streams, stars) if i is not None), default=0
-    )
+        capped = s.lens[0] > g and g < _STAR_CAP
+        tiers.setdefault(s.peek_len(g + 1) if capped else inf, []).append(idx)
+    stars, horizon = [None] * len(streams), 0
     for cap in sorted(tiers, reverse=True):
         if cap <= horizon:
             break
         for idx in tiers[cap]:
-            stars[idx] = star_index(streams[idx], g)
-            horizon = max(horizon, streams[idx].lens[stars[idx]])
+            stars[idx] = star_index(streams[idx], g, horizon)
+            if stars[idx] is not None:
+                horizon = streams[idx].lens[stars[idx]]
     return horizon, stars
 
 
@@ -521,12 +529,11 @@ def all_matches(phi, k, side, starts, budget):
     side), and n is the affix's length.  Shares one stream per affix and one
     hash join on the streams' last windows, so the whole level costs little
     more than growing each stream to the common horizon, the longest star
-    window.  Only the streams that can set the horizon are searched for
-    their stars (see _horizon), and a matched pair's unsearched stars,
-    uncharged, for its cutoff box.  Returns
-    {(xi, yi): (i, j, w)} indexed by positions in starts, with w the common
-    rotation value as a label word: reversed on the minus side, inverted on
-    the plus side.
+    window.  Only the streams that raise the horizon are searched for their
+    stars (see _horizon), and a matched pair's unsearched stars, uncharged,
+    for its cutoff box.  Returns {(xi, yi): (i, j, w)} indexed by positions
+    in starts, with w the common rotation value as a label word: reversed
+    on the minus side, inverted on the plus side.
     """
     if any(n == 0 for _, n in starts):
         raise ValueError("empty affixes are matched separately")
@@ -571,14 +578,9 @@ def all_matches(phi, k, side, starts, budget):
         for idx in (xi, yi):
             if stars[idx] is None:
                 stars[idx] = star_index(streams[idx], g)
-        lx = sx.lens[stars[xi]]
-        ly = sy.lens[stars[yi]]
-        if lx > ly:
-            i0, j0 = stars[xi], _first_longer(sy, lx)
-        elif ly > lx:
-            i0, j0 = _first_longer(sx, ly), stars[yi]
-        else:
-            i0, j0 = _first_longer(sx, lx), _first_longer(sy, ly)
+        lx, ly = sx.lens[stars[xi]], sy.lens[stars[yi]]
+        i0 = stars[xi] if lx > ly else _first_longer(sx, max(lx, ly))
+        j0 = stars[yi] if ly > lx else _first_longer(sy, max(lx, ly))
         if i > i0 or j > j0:
             raise InvariantViolation("common rotation root escaped its cutoff box")
         w = sx.word_at(i)

@@ -39,17 +39,15 @@ class Triplet:
 def loops(phi, k, budget=None):
     """All triplets (p, a, s) with phi^k(a) = p*a*s, one per occurrence of a.
 
-    Returned sorted for deterministic downstream iteration.
+    Found by letter and then by position, each p a proper prefix of the
+    next, they come out sorted by (a, p, s) for deterministic iteration.
     """
     out = []
     for a in phi.alphabet.letters():
-        image = phi.letter_image(a, k, budget)
-        for pos, x in enumerate(image):
-            if x == a:
-                out.append(
-                    Triplet(image[:pos], a, image[pos + 1:], k, a)
-                )
-    out.sort(key=lambda t: (t.a, t.p, t.s))
+        image, pos = phi.letter_image(a, k, budget), -1
+        for _ in range(image.count(a)):
+            pos = image.index(a, pos + 1)
+            out.append(Triplet(image[:pos], a, image[pos + 1:], k, a))
     return tuple(out)
 
 

@@ -15,6 +15,7 @@ from fgindex.families import cyclic_family
 from fgindex.gamma import (
     Stream,
     _block_table,
+    _horizon,
     _peelable,
     _push_block,
     all_matches,
@@ -507,6 +508,57 @@ def test_star_cap_below_the_peel_step_searches_every_stream(monkeypatch):
     monkeypatch.setattr(fgindex.gamma, "_STAR_CAP", 3)
     with pytest.raises(CapExceeded, match="peel condition"):
         all_matches(phi, 3, "minus", xs, unlimited())
+
+
+def _assert_one_check_settles_each_stream(phi, k_max=3):
+    """At levels 1..k_max on both sides: peeling deeper than a depth, for
+    every depth up to g + 1, is monotone in the step, up to three steps
+    past the star index; star_index against a horizon h returns None
+    exactly when the star window is no longer than h, and the star index
+    otherwise; and _horizon's horizon is the longest star window of all
+    the streams, searched one by one, with every star it returns exact."""
+    for k in range(1, k_max + 1):
+        for side in SIDES:
+            g = gamma_bound(phi, k, side, unlimited())
+            table = _block_table(phi, k, side, unlimited())
+            xs = [x for _, x in starts(phi, k, side)]
+            if not xs:
+                continue
+            stars, windows = [], []
+            for a, n in xs:
+                s = Stream(table, a, n, unlimited())
+                star = star_index(s, g)
+                s.ensure_steps(star + 3)
+                for depth in range(g + 2):
+                    peels = [_peelable(s, i, depth, {}) for i in range(1, star + 4)]
+                    assert peels == sorted(peels)
+                stars.append(star)
+                windows.append(s.lens[star])
+                for h in {0, s.lens[star] - 1, s.lens[star], s.lens[star + 1]}:
+                    fresh = Stream(table, a, n, unlimited())
+                    want = None if s.lens[star] <= h else star
+                    assert star_index(fresh, g, h) == want
+            streams = [Stream(table, a, n, unlimited()) for a, n in xs]
+            horizon, got = _horizon(streams, g)
+            assert horizon == max(windows)
+            assert all(i is None or i == star for i, star in zip(got, stars))
+
+
+@pytest.mark.parametrize(
+    "name", ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
+    + [f"family{n}" for n in range(2, 7)]
+)
+def test_one_peel_check_settles_each_stream(name):
+    _assert_one_check_settles_each_stream(fresh_map(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_automorphisms().filter(lambda phi: phi.rank <= 3))
+def test_one_peel_check_settles_each_stream_on_drawn_automorphisms(phi):
+    k_max = 0
+    while k_max < 3 and max(phi.image_lengths(k_max + 1)) <= 100:
+        k_max += 1
+    _assert_one_check_settles_each_stream(phi, k_max)
 
 
 def _assert_peel_matches_letter_reference(phi, k_max=3):
