@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
+from functools import cached_property
 from math import inf
 
 from .errors import CapExceeded, InvariantViolation
@@ -20,7 +21,7 @@ from .words import invert
 # long before this for a primitive map.
 _STAR_CAP = 10_000
 
-# The bytes of positive and of negative letters, as _InverseBlocks encodes them.
+# The bytes of positive and of negative letters, as _letter_codes encodes them.
 _POSITIVE, _NEGATIVE = bytes(range(128, 256)), bytes(range(128))
 # Positive letters 1..128 to their one-byte encodings, for bytes.translate.
 _ENCODE_ONE_BYTE = b"\0" + _POSITIVE + bytes(127)
@@ -57,33 +58,95 @@ def _push_block(w, block, width):
     w += memoryview(enc)[c * width:]
 
 
+def _letter_codes(rank):
+    """(width, letters): the letter encoding of every encoded word here.
+
+    A letter x of a rank-`rank` alphabet is `width` bytes, the big-endian
+    base-128 digits of |x| - 1 with the high bit set when x is positive, so
+    every byte carries its letter's sign.  letters is {x: (enc(x),
+    enc(x^-1))} over the signed letters.
+    """
+    width = max(1, ((rank - 1).bit_length() + 6) // 7)
+    letters = {}
+    for a in range(1, rank + 1):
+        neg = bytes((a - 1) >> 7 * i & 0x7F for i in reversed(range(width)))
+        pos = bytes(b | 0x80 for b in neg)
+        letters[a], letters[-a] = (pos, neg), (neg, pos)
+    return width, letters
+
+
+def _encode(word, letters, width):
+    """A positive word in the encoding of _letter_codes."""
+    if width == 1:
+        return bytes(word).translate(_ENCODE_ONE_BYTE)
+    return b"".join([letters[x][0] for x in word])
+
+
+def _positions(block, code, width):
+    """The letter positions of the encoded letter code in an encoded block.
+    A match at an offset that is not a multiple of width straddles two
+    letters, and is skipped."""
+    out, pos = [], block.find(code)
+    while pos >= 0:
+        if pos % width:
+            pos = block.find(code, pos + 1)
+        else:
+            out.append(pos // width)
+            pos = block.find(code, pos + width)
+    return out
+
+
+class EncodedLevel:
+    """The images phi^k(a) of one level, each encoded once: blocks[a - 1] is
+    phi^k(a) in the encoding of _letter_codes.  The loop census, the affix
+    grouping of a full level and both sides' block tables read these."""
+
+    def __init__(self, phi, k, budget, inverse):
+        self.width, self.letters = inverse.width, inverse.levels[0]
+        self.blocks = tuple(
+            _encode(phi.letter_image(a, k, budget), self.letters, self.width)
+            for a in phi.alphabet.letters()
+        )
+
+    def positions(self, a):
+        """The positions of the letter a in phi^k(a)."""
+        return _positions(self.blocks[a - 1], self.letters[a][0], self.width)
+
+
+def encoded_level(phi, k, budget=None):
+    """Level k's EncodedLevel, kept on phi's _InverseBlocks.  It is built
+    from letter_image, in letter order, so it charges what reading every
+    image of the level charges."""
+    inverse = _inverse_blocks(phi)
+    level = inverse.images.get(k)
+    if level is None:
+        level = inverse.images[k] = EncodedLevel(phi, k, budget, inverse)
+    return level
+
+
 class _InverseBlocks:
     """Encoded blocks (enc, inv) of phi^-j(x) for signed letters x, built on
     demand, one level from the one below, and kept on phi, together with the
-    two gamma_bound values of each level whose walk has run.
+    two gamma_bound values of each level whose walk has run, and the
+    EncodedLevel of each forward level read so far.
 
-    A letter x is `width` bytes, the base-128 digits of |x| - 1 with the high
-    bit set when x is positive, so every byte carries its letter's sign; inv
-    encodes the inverse word.  Level j of c is the reduced product, by
-    _push_block, of the level j-1 blocks over the letters of phi^-1(c); the
-    block of c^-1 is built alongside it from the inverted letters in reverse.
-    A level of a letter is charged once, by the first read that reaches it;
-    a block built by block() alone is charged by the first read after it.
-    bounds is {k: {"minus": g, "plus": g}}.
+    Letters are encoded as _letter_codes encodes them; inv encodes the
+    inverse word.  Level j of c is the reduced product, by _push_block, of
+    the level j-1 blocks over the letters of phi^-1(c); the block of c^-1 is
+    built alongside it from the inverted letters in reverse.  A level of a
+    letter is charged once, by the first read that reaches it; a block built
+    by block() alone is charged by the first read after it.  bounds is
+    {k: {"minus": g, "plus": g}}, and images is {k: EncodedLevel}.
     """
 
     def __init__(self, phi):
         # Not phi: a cycle through it would outlive phi's last reference.
         self.inverse_images = phi.inverse_images
-        self.width = width = max(1, ((phi.rank - 1).bit_length() + 6) // 7)
-        letters = {}
-        for a in phi.alphabet.letters():
-            neg = bytes((a - 1) >> 7 * i & 0x7F for i in reversed(range(width)))
-            pos = bytes(b | 0x80 for b in neg)
-            letters[a], letters[-a] = (pos, neg), (neg, pos)
+        self.width, letters = _letter_codes(phi.rank)
         self.levels = [letters]
         self.charged = {}  # the highest level of each letter charged so far
         self.bounds = {}
+        self.images = {}
 
     def read(self, x, k, budget):
         """Level k of x.  Each level j of |x| no earlier read charged is
@@ -303,29 +366,40 @@ def _suffix_trie(blocks):
     return n, terminal, {b: _suffix_trie(group) for b, group in groups.items()}
 
 
-def _block_table(phi, k, side, budget):
-    """(table, trie, letters, lengths) for the blocks phi^k(c) of every
-    letter c in stream order (reversed on the minus side), letters encoded
-    as _InverseBlocks encodes them.
+def _reversed(block, width):
+    """An encoded word with its letters in reverse order."""
+    if width == 1:
+        return block[::-1]
+    return b"".join([block[i:i + width] for i in range(len(block) - width, -1, -width)])
 
-    table is {code: (c, block, n)}: code is the encoding of c read as a
-    big-endian integer, and n counts the block's letters.  trie is the
-    blocks' _suffix_trie, letters is _InverseBlocks' encoding
-    {x: (enc(x), enc(x^-1))} of signed letters, and lengths is {code: n}.
+
+class _BlockTable:
+    """The blocks phi^k(c) of every letter c in stream order (reversed on the
+    minus side), sliced from level k's EncodedLevel.
+
+    codes is {code: (c, block, n)}: code is the encoding of c read as a
+    big-endian integer, and n counts the block's letters; lengths is
+    {code: n}, letters is the encoding {x: (enc(x), enc(x^-1))} of signed
+    letters, and trie, the blocks' _suffix_trie, is built on first read.
     """
-    inverse = _inverse_blocks(phi)
-    letters, table = inverse.levels[0], {}
-    for c in phi.alphabet.letters():
-        img = phi.letter_image(c, k, budget)
-        if side == "minus":
-            img = img[::-1]
-        if inverse.width == 1:
-            blk = bytes(img).translate(_ENCODE_ONE_BYTE)
-        else:
-            blk = b"".join([letters[x][0] for x in img])
-        table[int.from_bytes(letters[c][0], "big")] = (c, blk, len(img))
-    trie = _suffix_trie([entry[1] for entry in table.values()])
-    return table, trie, letters, {code: e[2] for code, e in table.items()}
+
+    def __init__(self, level, side):
+        self.letters, width, self.codes = level.letters, level.width, {}
+        for c, blk in enumerate(level.blocks, 1):
+            if side == "minus":
+                blk = _reversed(blk, width)
+            code = int.from_bytes(self.letters[c][0], "big")
+            self.codes[code] = (c, blk, len(blk) // width)
+        self.lengths = {code: e[2] for code, e in self.codes.items()}
+
+    @cached_property
+    def trie(self):
+        return _suffix_trie([entry[1] for entry in self.codes.values()])
+
+
+def _block_table(phi, k, side, budget):
+    """Level k's _BlockTable on one side."""
+    return _BlockTable(encoded_level(phi, k, budget), side)
 
 
 class Stream:
@@ -334,7 +408,7 @@ class Stream:
     Rotation always consumes at the front of the stored bytes and appends the
     substituted block at the back; the minus side stores words reversed so
     both sides share this shape.  Letters are `width` bytes each, encoded as
-    _InverseBlocks encodes them; positions and lengths count letters.
+    _letter_codes encodes them; positions and lengths count letters.
     Window i (the i-th rotation value, in stream order) is the letters
     i .. i + lens[i] - 1.  Windows start at 0..steps and each ends one block
     after the previous one, so the newest ends with the bytes; lens never
@@ -342,13 +416,14 @@ class Stream:
 
     A loop phi^k(a) = p a s starts the stream of its affix (p on the minus
     side, s on the plus side), which is the last n letters of a's block in
-    stream order: the start's bytes are sliced from the block table.
+    stream order: the start's bytes are sliced from the level's _BlockTable,
+    which every stream of a level and side shares.
     """
 
-    def __init__(self, table, letter, n, budget):
-        self.table, self.trie, letters, self.lengths = table
+    def __init__(self, blocks, letter, n, budget):
+        self.blocks, self.table, self.lengths = blocks, blocks.codes, blocks.lengths
         self.budget = budget
-        enc = letters[letter][0]
+        enc = blocks.letters[letter][0]
         self.width = len(enc)
         _, blk, m = self.table[int.from_bytes(enc, "big")]
         if n >= m:
@@ -421,7 +496,8 @@ def _peelable(stream, i, depth_needed, ends):
     lie in window i when that is at least i.  Otherwise every parse is
     searched, over letter-aligned byte offsets.  The byte lengths of the
     blocks ending at an offset, shortest first, are found by walking the
-    suffix trie back from it; endswith compares in place, and a block that
+    suffix trie back from it (the block table builds it on the first such
+    search); endswith compares in place, and a block that
     fails stops the walk, since every block below it in the trie ends with
     it.  ends keeps them by offset: the stream only appends, so they hold for
     every later window, which takes the ones that stay inside it.
@@ -441,7 +517,7 @@ def _peelable(stream, i, depth_needed, ends):
             lengths = ends.get(pos)
             if lengths is None:
                 lengths = ends[pos] = []
-                node = stream.trie
+                node = stream.blocks.trie
                 while node is not None:
                     n, blk, children = node
                     if blk is not None:

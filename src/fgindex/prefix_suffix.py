@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import InvariantViolation, UndefinedShift
+from .gamma import encoded_level
 from .words import EPSILON, Word, invert
 
 
@@ -36,18 +37,51 @@ class Triplet:
         return f"({parts[0]}, {parts[1]}, {parts[2]})"
 
 
-def loops(phi, k, budget=None):
-    """All triplets (p, a, s) with phi^k(a) = p*a*s, one per occurrence of a.
+class Loop:
+    """One loop phi^level(a) = p * a * s, held as the position of a in the
+    cached image: p and s are sliced from it only when they are read, and
+    triplet() makes the Triplet that anchors points."""
 
-    Found by letter and then by position, each p a proper prefix of the
-    next, they come out sorted by (a, p, s) for deterministic iteration.
+    __slots__ = ("image", "a", "pos", "level")
+
+    def __init__(self, image, a, pos, level):
+        self.image, self.a, self.pos, self.level = image, a, pos, level
+
+    def __repr__(self):
+        return f"Loop(a={self.a}, pos={self.pos}, level={self.level})"
+
+    @property
+    def p(self):
+        return self.image[:self.pos]
+
+    @property
+    def s(self):
+        return self.image[self.pos + 1:]
+
+    @property
+    def parent(self):
+        return self.a
+
+    body, render = Triplet.body, Triplet.render
+
+    def triplet(self):
+        return Triplet(self.p, self.a, self.s, self.level, self.a)
+
+
+def loops(phi, k, budget=None):
+    """One Loop per occurrence of a letter a in phi^k(a), so per triplet
+    (p, a, s) with phi^k(a) = p*a*s.
+
+    The occurrences are found in level k's encoded images (see
+    gamma.encoded_level), which the affix grouping of a full level reads
+    too.  Found by letter and then by position, each p a proper prefix of
+    the next, they come out sorted by (a, p, s) for deterministic iteration.
     """
+    level = encoded_level(phi, k, budget)
     out = []
     for a in phi.alphabet.letters():
-        image, pos = phi.letter_image(a, k, budget), -1
-        for _ in range(image.count(a)):
-            pos = image.index(a, pos + 1)
-            out.append(Triplet(image[:pos], a, image[pos + 1:], k, a))
+        image = phi.letter_image(a, k)
+        out += [Loop(image, a, pos, k) for pos in level.positions(a)]
     return tuple(out)
 
 

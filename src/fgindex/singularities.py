@@ -18,7 +18,7 @@ from .errors import (
     CapExceeded,
     InvariantViolation,
 )
-from .gamma import all_matches
+from .gamma import all_matches, encoded_level
 from .prefix_suffix import (
     complete_for_anchor,
     loops,
@@ -272,30 +272,55 @@ def _eps_level(phi, k, registry, merged):
 
 
 def _full_level(phi, k, registry, budget, merged):
+    """Run level k in full: list its loops phi^k(a) = p a s, and on each
+    side group them by affix (p on the minus side, s on the plus side).  A
+    group of two or more equal affixes is one class at rotation 0, and
+    all_matches joins the groups' streams for the rest.
+
+    Each affix is grouped and sorted as its slice of level k's encoded
+    images (gamma.encoded_level): bytes cache their hash and compare by
+    memcmp.  The encoding is big-endian and fixed-width, with the sign bit
+    set on positive letters, so positive words sort by their bytes exactly
+    as by their letter tuples, a proper prefix first.  Only the loops that
+    anchor points, in groups of two or more or in matched groups, become
+    Triplets.
+    """
     level_loops = loops(phi, k, budget)
     occ = phi.occurrence_matrix(k)
     if len(level_loops) != sum(occ[a][a] for a in range(phi.rank)):
         raise InvariantViolation("loop census disagrees with the occurrence matrix")
+    level = encoded_level(phi, k, budget)
+    blocks, width = level.blocks, level.width
     for side in ("minus", "plus"):
+        if side == "minus":
+            keys = [blocks[t.a - 1][:t.pos * width] for t in level_loops]
+        else:
+            keys = [blocks[t.a - 1][(t.pos + 1) * width:] for t in level_loops]
         groups = {}
-        for t in level_loops:
-            affix = t.p if side == "minus" else t.s
-            groups.setdefault(affix, []).append(t)
-        groups.pop(EPSILON, None)
+        for key, t in zip(keys, level_loops):
+            groups.setdefault(key, []).append(t)
+        groups.pop(b"", None)
         _merge_blank_class(phi, k, side, registry, budget, merged)
         affixes = sorted(groups)
+        anchors = {}
+
+        def anchored(affix):
+            if affix not in anchors:
+                anchors[affix] = [t.triplet() for t in groups[affix]]
+            return anchors[affix]
+
         for affix in affixes:
-            grp = groups[affix]
-            if len(grp) >= 2:
-                w = affix if side == "minus" else invert(affix)
+            if len(groups[affix]) >= 2:
+                grp = anchored(affix)
+                w = grp[0].p if side == "minus" else invert(grp[0].s)
                 sing = _from_match_groups(phi, k, side, grp[:1], grp[1:], (0, 0, w))
                 merge(phi, registry, sing, budget)
         found = all_matches(
-            phi, k, side, [(groups[a][0].a, len(a)) for a in affixes], budget
+            phi, k, side, [(groups[a][0].a, len(a) // width) for a in affixes], budget
         )
         for (xi, yi), m in sorted(found.items()):
             sing = _from_match_groups(
-                phi, k, side, groups[affixes[xi]], groups[affixes[yi]], m
+                phi, k, side, anchored(affixes[xi]), anchored(affixes[yi]), m
             )
             merge(phi, registry, sing, budget)
 

@@ -18,6 +18,21 @@ def aut_path(name):
     return AUT_DIR / f"{name}.aut"
 
 
+def fresh_map(name):
+    """A new copy of a bundled map, of cyclic_family(n) as "family<n>", or
+    of family129swap: cyclic_family(129) with a1 and a128 exchanged, so that
+    phi(a0) = a0 a128 and a letter's two-byte code starts with a high digit
+    that is also a letter's low digit."""
+    from strategies import relabelled
+
+    if name == "family129swap":
+        perm = [1, 129] + list(range(3, 129)) + [2]
+        return relabelled(cyclic_family(129), perm)
+    if name.startswith("family"):
+        return cyclic_family(int(name[len("family"):]))
+    return load_automorphism(aut_path(name))
+
+
 @pytest.fixture(scope="session")
 def rank3():
     return load_automorphism(aut_path("rank3"))

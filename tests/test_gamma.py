@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fgindex.gamma
-from fgindex import load_automorphism
 from fgindex.automorphism import validate
 from fgindex.config import Budget
 from fgindex.errors import BudgetExceeded, CapExceeded, InvariantViolation
@@ -15,8 +14,11 @@ from fgindex.families import cyclic_family
 from fgindex.gamma import (
     Stream,
     _block_table,
+    _encode,
     _horizon,
+    _letter_codes,
     _peelable,
+    _positions,
     _push_block,
     all_matches,
     gamma_bound,
@@ -26,7 +28,7 @@ from fgindex.prefix_suffix import loops
 from fgindex.words import EPSILON, Alphabet, invert
 
 import oracles
-from conftest import aut_path
+from conftest import fresh_map
 from strategies import positive_automorphisms, relabelled
 
 ALL = ["rank3", "rank4", "fibonacci", "rank6", "rank14"]
@@ -136,6 +138,49 @@ def test_gamma_rejects_empty_words(fibonacci):
     # Checked before a lone start is turned away as having no pair.
     with pytest.raises(ValueError):
         all_matches(fibonacci, 1, "minus", [(1, 0)], unlimited())
+
+
+# -- encoded images ---------------------------------------------------------------
+
+
+@st.composite
+def ranked_words(draw):
+    """A rank of 1..300, so one-byte and two-byte codes, and positive words
+    over it, many of them equal or prefixes of one another."""
+    rank = draw(st.integers(1, 300), label="rank")
+    small = st.integers(1, min(rank, 3))
+    letter = st.one_of(small, st.integers(1, rank), st.integers(max(1, rank - 2), rank))
+    bases = draw(st.lists(st.lists(letter, max_size=8), min_size=1, max_size=4))
+    prefixes = [tuple(b[:n]) for b in bases for n in range(len(b) + 1)]
+    return rank, draw(st.lists(st.sampled_from(prefixes), min_size=1, max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_words())
+# Two-byte codes 0x80 0x80, 0x81 0x80 and 0x80 0x81: the code of a2 also
+# starts at byte 1, and the code of a1 at byte 3, across letter boundaries.
+@example((300, [(1, 129, 2), (1, 129), (1, 129, 2), (2,), ()]))
+@example((128, [(128, 1), (128,), (1,)]))
+def test_encoded_words_sort_and_group_as_their_tuples(drawn):
+    # _full_level groups and sorts affixes by their encoded bytes; the loop
+    # census finds each letter at letter-aligned offsets only.
+    rank, words = drawn
+    width, letters = _letter_codes(rank)
+    assert width == (1 if rank <= 128 else 2)
+    encoded = [_encode(w, letters, width) for w in words]
+    assert encoded == [oracles.encode_block(w, rank)[0] for w in words]
+    by_bytes, by_tuple = {}, {}
+    for enc, w in zip(encoded, words):
+        by_bytes.setdefault(enc, []).append(w)
+        by_tuple.setdefault(w, []).append(w)
+    assert [by_bytes[e] for e in sorted(by_bytes)] == [
+        by_tuple[w] for w in sorted(by_tuple)
+    ]
+    for enc, w in zip(encoded, words):
+        for a in set(w) | {1, min(2, rank), rank}:
+            assert _positions(enc, letters[a][0], width) == [
+                i for i, x in enumerate(w) if x == a
+            ]
 
 
 # -- streams ----------------------------------------------------------------------
@@ -317,15 +362,6 @@ REFERENCE_LEVELS = [
     ("rank6_cyclic", 6),
     ("rank14_cyclic", 4),
 ] + [(f"family{n}", 6) for n in range(2, 7)]
-
-
-def fresh_map(name):
-    if name == "family129swap":
-        perm = [1, 129] + list(range(3, 129)) + [2]
-        return relabelled(cyclic_family(129), perm)
-    if name.startswith("family"):
-        return cyclic_family(int(name[len("family"):]))
-    return load_automorphism(aut_path(name))
 
 
 def _assert_calls_match_letter_reference(phi, ref, calls):
@@ -614,6 +650,46 @@ def test_peel_matches_letter_reference_on_drawn_automorphisms(phi):
     while k_max < 3 and max(phi.image_lengths(k_max + 1)) <= 100:
         k_max += 1
     _assert_peel_matches_letter_reference(phi, k_max)
+
+
+def test_suffix_trie_is_built_only_for_a_search_past_the_natural_parse(monkeypatch):
+    # The peel search reads the trie only when the blocks a window's stream
+    # appended do not peel deep enough.  So a level side builds its trie
+    # exactly when one of its peel checks goes past that natural parse, and
+    # never when its bound g is 0.
+    tables, slow = [], []
+
+    def table(*args):
+        tables.append(_block_table(*args))
+        return tables[-1]
+
+    def peelable(stream, i, depth_needed, ends):
+        t = i - depth_needed - 1
+        if t < 0 or stream.lens[t] <= depth_needed:
+            slow.append(i)
+        return _peelable(stream, i, depth_needed, ends)
+
+    monkeypatch.setattr(fgindex.gamma, "_block_table", table)
+    monkeypatch.setattr(fgindex.gamma, "_peelable", peelable)
+    seen = set()
+    for name in ("rank3", "rank4", "fibonacci", "rank14_cyclic"):
+        phi = fresh_map(name)
+        for k in (1, 2, 3):
+            for side in SIDES:
+                xs = [x for _, x in starts(phi, k, side)]
+                if len(xs) < 2:
+                    continue
+                tables.clear()
+                slow.clear()
+                all_matches(phi, k, side, xs, unlimited())
+                (blocks,) = tables
+                built = "trie" in vars(blocks)
+                assert built == bool(slow)
+                if gamma_bound(phi, k, side, unlimited()) == 0:
+                    assert not built
+                    seen.add("g = 0")
+                seen.add(built)
+    assert seen == {"g = 0", True, False}
 
 
 # -- rotation matching ---------------------------------------------------------------

@@ -3,10 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from fgindex import load_automorphism
 from fgindex.config import RunConfig
 from fgindex.errors import UndefinedShift
-from fgindex.families import cyclic_family
 from fgindex.prefix_suffix import (
     Development,
     SymbolicPoint,
@@ -28,7 +26,7 @@ from fgindex.singularities import find_all
 from fgindex.words import EPSILON, invert
 
 import oracles
-from conftest import aut_path
+from conftest import fresh_map
 from strategies import positive_automorphisms
 
 ALL = ["rank3", "rank4", "fibonacci", "rank6", "rank14"]
@@ -96,6 +94,25 @@ def test_loop_census_equals_occurrence_diagonal(phi):
         assert len(loops(phi, k)) == diag
 
 
+# Ranks 128 and 129 are the last with one-byte letters and the first with two.
+@pytest.mark.parametrize(
+    "name",
+    ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
+    + [f"family{n}" for n in (2, 3, 4, 5, 6, 128, 129)] + ["family129swap"],
+)
+def test_loop_records_are_the_scan_in_order(name):
+    # Each record, found as a position in the encoded image, reads back the
+    # scan's (p, a, s) at its level with the letter as its parent, and the
+    # records come in the scan's order: by letter, then by position.
+    phi = fresh_map(name)
+    for k in (1, 2, 3):
+        got = [(t.p, t.a, t.s, t.level, t.parent) for t in loops(phi, k)]
+        assert got == [(p, a, s, k, a) for p, a, s in oracles.loops_scan(phi, k)]
+        assert [t.triplet().body() for t in loops(phi, k)] == [
+            (p, a, s) for p, a, s, _, _ in got
+        ]
+
+
 # -- two-letter factors and periodic seeds --------------------------------------
 
 
@@ -143,7 +160,7 @@ def test_desubstitute_recompose_round_trip(phi):
                 parent = chain[i + 1].a if i + 1 < k else chain[-1].parent
                 assert link.parent == parent
                 assert phi.images[parent - 1] == link.p + (link.a,) + link.s
-            assert oracles.recompose(phi, chain) == t
+            assert oracles.recompose(phi, chain) == t.triplet()
 
 
 def test_recompose_matches_levelwise_images(rank4):
@@ -431,12 +448,6 @@ SWEPT = [
     ("rank6_cyclic", 10),
     ("rank14_cyclic", 10),
 ] + [(f"family{n}", None) for n in range(2, 10)]
-
-
-def fresh_map(name):
-    if name.startswith("family"):
-        return cyclic_family(int(name[len("family"):]))
-    return load_automorphism(aut_path(name))
 
 
 def final_points(phi, max_k=None):

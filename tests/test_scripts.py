@@ -94,6 +94,12 @@ def test_forced_rank4_levels_charge_the_frozen_letters():
     _assert_forced_levels_charge_the_frozen_letters("rank4", 5)
 
 
+def test_forced_rank3_levels_charge_the_frozen_letters():
+    # rank3's level 6 is where the loop census and the affix grouping are the
+    # largest share of a level: 1,103 loops with 1.44M affix letters.
+    _assert_forced_levels_charge_the_frozen_letters("rank3", 6)
+
+
 def test_report_digests_do_not_depend_on_hash_order():
     # The seed-0 run must also match the frozen digests, both the report and
     # the result column: a change that alters a report on purpose
