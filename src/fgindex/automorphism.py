@@ -9,6 +9,8 @@ mutually inverse, and primitivity of the incidence matrix via the classical
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import CapExceeded, NotInverse, NotPositive, NotPrimitive, ParseError
 from .words import (
     Alphabet,
@@ -38,6 +40,7 @@ class Automorphism:
         self._len_cache = {1: tuple(len(w) for w in self.images)}
         self._occ_cache = {1: self.incidence}
         self._ray_cache = {}
+        self._affix_cache = {}
         self.two_factor_cache = None
         self._cycle_cache = {}
         self.inverse_blocks = None  # phi^-j(a) as gamma_bound encodes them
@@ -221,6 +224,20 @@ class Automorphism:
                 word = word[: 2 * need]
         self._ray_cache[key] = word
         return word[:need]
+
+    def image_affix(self, a, i, r, first):
+        """The first r letters of phi^i(a) for a positive letter a, or with
+        first=False its last r.  Each letter and side keeps its levels at one
+        length, doubled when an r outgrows it, each level built from the one
+        below, so nothing longer is built.  Read off points, not charged."""
+        length, levels = self._affix_cache.get((a, first), (0, None))
+        if r > length:
+            length, levels = max(r, 2 * length), [(a,)]
+            self._affix_cache[(a, first)] = (length, levels)
+        while len(levels) <= i:
+            word = tuple(chain.from_iterable(self.images[x - 1] for x in levels[-1]))
+            levels.append(word[:length] if first else word[-length:])
+        return levels[i][:r] if first else levels[i][-r:]
 
 
 def parse_automorphism(text):

@@ -119,7 +119,7 @@ def report_dict(analysis):
             "k_target": result.k_target,
             "k_reached": result.k_reached,
             "full_levels": result.full_levels,
-            "partial_levels": result.partial_levels,
+            "partial_levels": _level_runs(result.partial_levels),
             "early_exited": result.early_exited,
             "max_rho_power": result.max_rho_power,
             "budget_used": result.budget_used,
@@ -132,15 +132,20 @@ def report_dict(analysis):
     }
 
 
-def _level_ranges(levels):
-    """Increasing levels as comma-separated runs, such as '2, 5-7, 9'."""
+def _level_runs(levels):
+    """Increasing levels as inclusive [first, last] runs."""
     runs = []
     for k in levels:
         if runs and runs[-1][1] == k - 1:
             runs[-1][1] = k
         else:
             runs.append([k, k])
-    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+    return runs
+
+
+def _level_ranges(levels):
+    """Increasing levels as comma-separated runs, such as '2, 5-7, 9'."""
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in _level_runs(levels))
 
 
 def _exit_code(result, rank):
@@ -271,8 +276,9 @@ def cmd_verify(args):
     def check_fixing():
         for s in result.singularities:
             h = fixing_power(phi, s)
+            wh = phi.conjugator_power(s.label.w, s.label.k, h)
             for p in s.point_list():
-                if not point_fixed_by(phi, p, s.label.w, s.label.k, h):
+                if not point_fixed_by(phi, p, wh, s.label.k * h):
                     raise VerificationFailed(
                         f"point of class {s.ident} moves under its power"
                     )

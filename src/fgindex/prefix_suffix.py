@@ -11,6 +11,7 @@ side of the development is blank.
 from __future__ import annotations
 
 import dataclasses
+from itertools import chain, cycle
 
 from .errors import InvariantViolation, UndefinedShift
 from .gamma import encoded_level
@@ -243,7 +244,7 @@ class SymbolicPoint:
     otherwise seed is None and the development alone pins the point.
     """
 
-    __slots__ = ("phi", "anchor", "shift", "seed", "_key", "_dev")
+    __slots__ = ("phi", "anchor", "shift", "seed", "_key", "_dev", "_firsts")
 
     def __init__(self, phi, anchor, shift, seed=None):
         self.phi = phi
@@ -252,6 +253,7 @@ class SymbolicPoint:
         self.seed = seed
         self._key = None
         self._dev = None
+        self._firsts = None
 
     def __repr__(self):
         body = self.anchor.body() if self.anchor is not None else None
@@ -331,28 +333,15 @@ class SymbolicPoint:
             v = self.window(0, length)
             return u, v
         dev, phi = self.dev(), self.phi
-        cap = len(dev.pre) + len(dev.per) * (length + 2)
-        v = [dev.at(0).a]
-        i = 0
-        while len(v) < length and i < cap:
-            s = dev.at(i).s
-            if s:
-                v += _ray_letters(phi, s, i, length - len(v), False)
-            i += 1
-        u = []
-        i = 0
-        while len(u) < length and i < cap:
-            p = dev.at(i).p
-            if p:
-                u += invert(_ray_letters(phi, p, i, length - len(u), True))
-            i += 1
-        if len(v) < length or len(u) < length:
-            raise InvariantViolation("development failed to fill its rays")
-        return tuple(u), tuple(v[:length])
+        v = (dev.at(0).a,) + _ray_letters(phi, dev, length - 1, True)
+        return _ray_letters(phi, dev, length, False), v
 
     def first_letters(self):
-        u, v = self.expand(1)
-        return u[0], v[0]
+        """Both first letters, read once: every stage after the sweep asks."""
+        if self._firsts is None:
+            u, v = self.expand(1)
+            self._firsts = (u[0], v[0])
+        return self._firsts
 
     def rho_power(self):
         """Minimal period of the level-1 development."""
@@ -394,15 +383,25 @@ class SymbolicPoint:
         return out
 
 
-def _ray_letters(phi, word, i, r, from_end):
-    """The first r > 0 letters of phi^i(word) for a positive word, or with
-    from_end its last r.  No image is empty, so each level down needs only
-    r letters of the one above: nothing longer is ever built."""
-    images = phi.images
-    for _ in range(i):
-        word = word[-r:] if from_end else word[:r]
-        word = [y for x in word for y in images[x - 1]]
-    return word[-r:] if from_end else word[:r]
+def _ray_letters(phi, dev, r, right):
+    """The first r letters of the right ray s_0 phi(s_1) phi^2(s_2) ... of
+    dev, or with right=False the inverse of the last r of its left ray
+    ... phi^2(p_2) phi(p_1) p_0.  Each level reads its letters' affixes
+    from Automorphism.image_affix, which keeps them across reads, so the
+    cost is linear in the levels and letters read."""
+    cap = len(dev.pre) + len(dev.per) * (r + 2)
+    out = []
+    for i, t in zip(range(cap), chain(dev.pre, cycle(dev.per))):
+        for x in t.s if right else t.p[::-1]:
+            if len(out) == r:
+                break
+            piece = phi.image_affix(x, i, r - len(out), right)
+            out += piece if right else invert(piece)
+        if len(out) == r:
+            break
+    if len(out) < r:
+        raise InvariantViolation("development failed to fill its rays")
+    return tuple(out)
 
 
 def periodic_point(phi, c, b, n=0):
@@ -506,18 +505,18 @@ def shift_key(phi, key, delta):
     return ("dev",) + shift_dev(phi, _dev_from_key(key), delta).key()
 
 
-def point_fixed_by(phi, point, w, k, h):
-    """Whether the point is fixed by the h-th power of conj(w) . phi^k."""
-    wh = phi.conjugator_power(w, k, h)
+def point_fixed_by(phi, point, wh, m):
+    """Whether the point is fixed by u -> wh^-1 phi^m(u) wh: the h-th power
+    of conj(w) . phi^k for wh = phi.conjugator_power(w, k, h) and m = k*h."""
     d = len(wh)
     delta = -d if d and wh[0] > 0 else d
     if point.kind() == "per":
         key = point.key()
-        moved = apply_phi_power_key(phi, key, k * h) == shift_key(phi, key, delta)
+        moved = apply_phi_power_key(phi, key, m) == shift_key(phi, key, delta)
     else:
         dev = point.dev()
-        moved = _power_dev(phi, dev, k * h).key() == shift_dev(phi, dev, delta).key()
+        moved = _power_dev(phi, dev, m).key() == shift_dev(phi, dev, delta).key()
     if not moved or not d:
         return moved
-    u, v = point.expand(d)
+    u, v = point.expand(d) if d > 1 else [(x,) for x in point.first_letters()]
     return (u if wh[0] > 0 else v) == invert(wh)

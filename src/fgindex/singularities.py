@@ -121,11 +121,12 @@ def merge(phi, registry, sing, budget=None):
 
 
 def fixing_power(phi, sing):
-    """Least h with every point fixed by the h-th power of the labeled map."""
+    """Least h with every point fixed by the h-th power of the labeled map.
+    Each power's conjugator is built once for the class, not per point."""
     if sing._fixing_power is not None:
         return sing._fixing_power
     w, k = sing.label.w, sing.label.k
-    total = 1
+    total, conj = 1, {}
     for p in sing.point_list():
         if p.kind() == "per":
             c, b, n = p.per_data()
@@ -141,7 +142,9 @@ def fixing_power(phi, sing):
         else:
             candidates = range(1, FIXING_POWER_CAP + 1)
         for h in candidates:
-            if point_fixed_by(phi, p, w, k, h):
+            if h not in conj:
+                conj[h] = phi.conjugator_power(w, k, h)
+            if point_fixed_by(phi, p, conj[h], k * h):
                 total = math.lcm(total, h)
                 break
         else:

@@ -16,9 +16,12 @@ from fgindex.errors import UndefinedShift
 from fgindex.prefix_suffix import (
     Development,
     Triplet,
+    _power_dev,
     apply_phi_power_key,
     canonicalize,
     check_chain,
+    shift_dev,
+    shift_key,
     two_factors,
 )
 from fgindex.words import EPSILON, concat, invert, require_nonempty
@@ -732,3 +735,81 @@ def expand_by_images(phi, dev, length):
     if len(v) < length or len(u) < length:
         raise InvariantViolation("development failed to fill its rays")
     return tuple(u[:length]), tuple(v[:length])
+
+
+# -- rays read level by level, and fixing powers point by point -----------------
+
+
+def ray_letters_from_level_zero(phi, word, i, r, from_end):
+    """The first r letters of phi^i(word) for a positive word, or with
+    from_end its last r: phi applied i times from level 0, r letters kept."""
+    images = phi.images
+    for _ in range(i):
+        word = word[-r:] if from_end else word[:r]
+        word = [y for x in word for y in images[x - 1]]
+    return word[-r:] if from_end else word[:r]
+
+
+def expand_from_level_zero(point, length):
+    """SymbolicPoint.expand with each level's ray letters read from level 0.
+    A periodic-seed point reads its windows, as the package does."""
+    if point.kind() == "per":
+        return invert(point.window(-length, 0)), point.window(0, length)
+    dev, phi = point.dev(), point.phi
+    cap = len(dev.pre) + len(dev.per) * (length + 2)
+    v = [dev.at(0).a]
+    i = 0
+    while len(v) < length and i < cap:
+        s = dev.at(i).s
+        if s:
+            v += ray_letters_from_level_zero(phi, s, i, length - len(v), False)
+        i += 1
+    u = []
+    i = 0
+    while len(u) < length and i < cap:
+        p = dev.at(i).p
+        if p:
+            u += invert(ray_letters_from_level_zero(phi, p, i, length - len(u), True))
+        i += 1
+    if len(v) < length or len(u) < length:
+        raise InvariantViolation("development failed to fill its rays")
+    return tuple(u), tuple(v[:length])
+
+
+def point_fixed_by_power(phi, point, w, k, h):
+    """Whether the point is fixed by the h-th power of conj(w) . phi^k, with
+    its own conjugator and rays read from level 0."""
+    wh = conjugator_iterate(phi, w, k, h)
+    d = len(wh)
+    delta = -d if d and wh[0] > 0 else d
+    if point.kind() == "per":
+        key = point.key()
+        moved = apply_phi_power_key(phi, key, k * h) == shift_key(phi, key, delta)
+    else:
+        dev = point.dev()
+        moved = _power_dev(phi, dev, k * h).key() == shift_dev(phi, dev, delta).key()
+    if not moved or not d:
+        return moved
+    u, v = expand_from_level_zero(point, d)
+    return (u if wh[0] > 0 else v) == invert(wh)
+
+
+def fixing_power_per_point(phi, sing, cap=512):
+    """Least h fixing every point of the class: each point tries its own
+    candidates (multiples of its seed cycles' lcm over k for a periodic
+    point) and builds every conjugator afresh."""
+    w, k = sing.label.w, sing.label.k
+    total = 1
+    for p in sing.point_list():
+        step = 1
+        if p.kind() == "per":
+            c, b, _ = p.per_data()
+            big = math.lcm(phi.cycle_letters("last")[c], phi.cycle_letters("first")[b])
+            step = big // math.gcd(big, k)
+        for h in range(step, step * cap + 1, step):
+            if point_fixed_by_power(phi, p, w, k, h):
+                total = math.lcm(total, h)
+                break
+        else:
+            raise AssertionError(f"no fixing power below cap for {p!r}")
+    return total

@@ -64,11 +64,11 @@ def relabelled(phi, perm):
 
 
 @st.composite
-def positive_automorphisms(draw):
+def positive_automorphisms(draw, max_rank=4):
     """A product phi = e_1 . e_2 ... e_m of 2-8 elementary positive moves on
-    rank 2-4, with phi^-1 = e_m^-1 ... e_1^-1 in closed form.  Only
-    primitive products pass validate; the rest are rejected."""
-    n = draw(st.integers(2, 4), label="rank")
+    rank 2 to max_rank, with phi^-1 = e_m^-1 ... e_1^-1 in closed form.
+    Only primitive products pass validate; the rest are rejected."""
+    n = draw(st.integers(2, max_rank), label="rank")
     moves = draw(st.lists(_elementary_move(n), min_size=2, max_size=8), label="moves")
     images = [(a,) for a in range(1, n + 1)]
     inverse = list(images)

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -13,10 +14,16 @@ from fgindex.cli import (
     EXIT_OK,
     EXIT_TRUNCATED,
     _level_ranges,
+    _level_runs,
+    analyze,
     index_fraction,
     main,
     report_dict,
 )
+from fgindex.automorphism import load_automorphism
+from fgindex.config import RunConfig
+from fgindex.families import cyclic_family
+from fgindex.prefix_suffix import SymbolicPoint
 from fgindex.sgraph import to_dot
 
 from conftest import aut_path
@@ -106,6 +113,7 @@ def test_level_ranges_collapse_consecutive_runs():
     assert _level_ranges([7]) == "7"
     assert _level_ranges([2, 5, 6, 7, 9, 10]) == "2, 5-7, 9-10"
     assert _level_ranges(range(5, 1201)) == "5-1200"
+    assert _level_runs([2, 5, 6, 7, 9, 10]) == [[2, 2], [5, 7], [9, 10]]
 
 
 def test_index_rejects_bad_budget(capsys):
@@ -362,6 +370,37 @@ def test_report_dict_matches_analysis(rank4_analysis):
         rank4_analysis.phi.alphabet,
     )
     assert dot.count("->") == 12  # 6 finite edges + 6 dashed ends
+
+
+@pytest.mark.parametrize(
+    "source, config",
+    [
+        ("rank4", RunConfig()),
+        ("rank14_cyclic", RunConfig(max_k=10)),
+        (6, RunConfig()),
+    ],
+    ids=["rank4", "rank14_cyclic-k10", "family6"],
+)
+def test_first_letters_are_read_once_per_point(source, config, monkeypatch):
+    reads = []
+    real_expand = SymbolicPoint.expand
+
+    def expand(point, length):
+        if length == 1:
+            reads.append(point)  # held, so no id is reused
+        return real_expand(point, length)
+
+    monkeypatch.setattr(SymbolicPoint, "expand", expand)
+    if isinstance(source, int):
+        phi = cyclic_family(source)
+    else:
+        phi = load_automorphism(aut_path(source))
+    analysis = analyze(phi, config)
+    report_dict(analysis)
+    counts = Counter(map(id, reads))
+    assert set(counts.values()) == {1}
+    reported = [p for s in analysis.result.singularities for p in s.points.values()]
+    assert {id(p) for p in reported} <= set(counts)
 
 
 # -- verify --------------------------------------------------------------------

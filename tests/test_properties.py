@@ -122,8 +122,9 @@ def test_points_fixed_at_class_power(run):
     phi = run.phi
     for s in run.result.singularities:
         h = fixing_power(phi, s)
+        wh = phi.conjugator_power(s.label.w, s.label.k, h)
         for p in s.point_list():
-            assert point_fixed_by(phi, p, s.label.w, s.label.k, h)
+            assert point_fixed_by(phi, p, wh, s.label.k * h)
 
 
 # -- (f) basis words are mixed and fixed by the component's labeled map --------
@@ -364,3 +365,28 @@ def test_relabelling_the_generators_moves_no_count(phi, data):
     assert _shape(find_all(_fresh(phi), config)) == _shape(
         find_all(relabelled(phi, perm), config)
     )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(positive_automorphisms(max_rank=3))
+def test_rays_and_fixing_powers_match_the_level_zero_oracles(phi):
+    phi = _fresh(phi)
+    for s in find_all(phi, RunConfig(budget=10**5)).singularities:
+        for p in s.point_list():
+            for d in range(1, 9):
+                assert p.expand(d) == oracles.expand_from_level_zero(p, d)
+        assert fixing_power(phi, s) == oracles.fixing_power_per_point(phi, s)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    positive_automorphisms(max_rank=2),
+    st.sampled_from([10**4, 10**5, 10**6]),
+)
+def test_complete_rank_two_runs_have_index_one(phi, budget):
+    # Every automorphism of F_2 is realised on the once-punctured torus,
+    # a surface with one boundary component, so its index attains N - 1
+    # (Gaboriau, Jaeger, Levitt and Lustig, 1998): doubled index 2.
+    result = find_all(_fresh(phi), RunConfig(budget=budget))
+    if result.complete:
+        assert result.doubled == 2

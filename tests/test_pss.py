@@ -378,9 +378,9 @@ def test_constant_points_are_fixed_by_their_prefix_twist(phi):
     for k in (1, 2):
         for t in generic_loops(phi, k):
             point = SymbolicPoint(phi, t, 0)
-            assert point_fixed_by(phi, point, t.p, k, 1)
+            assert point_fixed_by(phi, point, t.p, k)
             shifted = SymbolicPoint(phi, t, 1)
-            assert not point_fixed_by(phi, shifted, t.p, k, 1)
+            assert not point_fixed_by(phi, shifted, t.p, k)
 
 
 def test_fixedness_agrees_with_expanded_rays(rank3, rank4):
@@ -395,7 +395,7 @@ def test_periodic_points_fixed_at_cycle_lcm(phi):
         point = periodic_point(phi, c, b)
         m = oracles.minimal_phi_power(phi, point)
         assert m == oracles.periodic_pair_power(phi, c, b)
-        assert point_fixed_by(phi, point, EPSILON, m, 1)
+        assert point_fixed_by(phi, point, EPSILON, m)
         assert apply_phi_power_key(phi, point.key(), m) == point.key()
 
 

@@ -231,7 +231,9 @@ def test_points_outside_the_class_move(rank4_analysis):
     s0, s1 = rank4_analysis.result.singularities[:2]
     for p in s1.point_list():
         assert not any(
-            point_fixed_by(phi, p, s0.label.w, s0.label.k, h)
+            point_fixed_by(
+                phi, p, phi.conjugator_power(s0.label.w, s0.label.k, h), s0.label.k * h
+            )
             for h in (1, 2, 3)
         )
 
@@ -737,8 +739,11 @@ def test_sweep_cost_does_not_grow_with_max_k(name, monkeypatch):
         runs.append((dict(counts), report))
     (counts_600, short), (counts_big, long) = runs
     assert counts_600 == counts_big
-    tail = long["sweep"].pop("partial_levels")
-    assert tail == short["sweep"].pop("partial_levels") + list(range(601, 10**6 + 1))
+    # The report writes partial levels as [first, last] runs: the longer
+    # target only stretches the last run.
+    *runs, (first, last) = long["sweep"].pop("partial_levels")
+    assert last == 10**6
+    assert short["sweep"].pop("partial_levels") == runs + [[first, 600]]
     assert (long["sweep"].pop("k_target"), long["sweep"].pop("k_reached")) == (10**6,) * 2
     assert (short["sweep"].pop("k_target"), short["sweep"].pop("k_reached")) == (600,) * 2
     assert long == short
