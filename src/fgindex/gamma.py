@@ -9,6 +9,7 @@ iteration must be pushed before giving up, so the search is finite.
 
 from __future__ import annotations
 
+import re
 import zlib
 from bisect import bisect_right
 from functools import cached_property
@@ -21,41 +22,46 @@ from .words import invert
 # long before this for a primitive map.
 _STAR_CAP = 10_000
 
-# The bytes of positive and of negative letters, as _letter_codes encodes them.
-_POSITIVE, _NEGATIVE = bytes(range(128, 256)), bytes(range(128))
 # Positive letters 1..128 to their one-byte encodings, for bytes.translate.
-_ENCODE_ONE_BYTE = b"\0" + _POSITIVE + bytes(127)
+_ENCODE_ONE_BYTE = b"\0" + bytes(range(128, 256)) + bytes(127)
+
+
+def _common_suffix(x, end, y, size, n, width):
+    """The most letters, at most n, that x[:end] and the memoryview y[:size]
+    share at their ends, in width-byte letters.  Sharing a suffix is
+    prefix-closed: bisect on endswith, which compares in place, once the
+    last letter is seen to agree and the whole overlap is seen not to."""
+    if not n or not x.endswith(y[size - width:size], 0, end):
+        return 0
+    if x.endswith(y[size - n * width:size], 0, end):
+        return n
+    lo, hi = 1, n
+    while hi - lo > 1:
+        # The last lo letters match: compare only the ones before them.
+        mid = (lo + hi) // 2
+        done = lo * width
+        if x.endswith(y[size - mid * width: size - done], 0, end - done):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _push_block(w, block, width):
     """Freely reduce the bytearray w in place to w . enc, for an encoded block
-    (enc, inv) of width-byte letters, in the encoding of _InverseBlocks.
-
-    w and enc are reduced, so exactly the longest c with w ending in the last
-    c letters of inv cancels; cancelling is prefix-closed, so c is found by
-    bisection on endswith, which compares without copying, once the last
-    letter is seen to cancel and the whole overlap is seen not to.
-    """
+    (enc, inv) of width-byte letters, in the encoding of _InverseBlocks: w
+    and enc are reduced, so the longest common suffix of w and inv cancels."""
     enc, inv = block
-    inv, size = memoryview(inv), len(inv)
-    n = min(len(w), size) // width
-    if not n or not w.endswith(inv[size - width:]):
-        c = 0
-    elif w.endswith(inv[size - n * width:]):
-        c = n
-    else:
-        lo, hi = 1, n
-        while hi - lo > 1:
-            # The last lo letters match: compare only the ones before them.
-            mid = (lo + hi) // 2
-            done = lo * width
-            if w.endswith(inv[size - mid * width: size - done], 0, len(w) - done):
-                lo = mid
-            else:
-                hi = mid
-        c = lo
+    n = min(len(w), len(inv)) // width
+    c = _common_suffix(w, len(w), memoryview(inv), len(inv), n, width)
     del w[len(w) - c * width:]
     w += memoryview(enc)[c * width:]
+
+
+# The first four sign runs of a word, a group each, so lastindex counts its
+# runs up to 4: every byte carries its letter's sign (see _letter_codes).
+_RUN = rb"([\x80-\xff]+|[\x00-\x7f]+)"
+_RUNS = re.compile(_RUN + (_RUN + b"?") * 3)
 
 
 def _letter_codes(rank):
@@ -131,8 +137,9 @@ class _InverseBlocks:
     EncodedLevel of each forward level read so far.
 
     Letters are encoded as _letter_codes encodes them; inv encodes the
-    inverse word.  Level j of c is the reduced product, by _push_block, of
-    the level j-1 blocks over the letters of phi^-1(c); the block of c^-1 is
+    inverse word.  Blocks are flat bytes, which gamma_bound's walk slices
+    in place.  Level j of c is the reduced product, by _push_block, of the
+    level j-1 blocks over the letters of phi^-1(c); the block of c^-1 is
     built alongside it from the inverted letters in reverse.  A level of a
     letter is charged once, by the first read that reaches it; a block built
     by block() alone is charged by the first read after it.  bounds is
@@ -178,10 +185,11 @@ class _InverseBlocks:
             if missing:
                 stack += [(y, i)] + missing
                 continue
-            w, w_inv = bytearray(), bytearray()
-            for x in word:
+            # Each product starts from its first block, which nothing cancels.
+            w, w_inv = bytearray(prev[word[0]][0]), bytearray(prev[-word[-1]][0])
+            for x in word[1:]:
                 _push_block(w, prev[x], self.width)
-            for x in reversed(word):
+            for x in reversed(word[:-1]):
                 _push_block(w_inv, prev[-x], self.width)
             enc, inv = bytes(w), bytes(w_inv)
             levels[i][y], levels[i][-y] = (enc, inv), (inv, enc)
@@ -203,13 +211,14 @@ def gamma_bound(phi, k, side, budget):
 
     Both sides come from one walk over the proper prefixes x of the images:
     where phi^k(a) = x y, phi^-k(y)^-1 = a^-1 phi^-k(x), so each prefix's
-    preimage serves both (see _overhangs).  The first call at a level runs
-    the walk and keeps both values on phi's _InverseBlocks; a later call at
-    that level reads its side's value there.  Every call charges the budget
-    only for its own side, before any walk, and exactly what a scan of that
-    side's affixes pushing one block per position costs: in letter order,
-    the image of each letter, the levels of the inverse blocks its scanned
-    positions read that no read charged before, then one block per position.
+    preimage, held as a stack of inverse-block slices, serves both (see
+    _overhangs).  The first call at a level runs the walk and keeps both
+    values on phi's _InverseBlocks; a later call at that level reads its
+    side's value there.  Every call charges the budget only for its own
+    side, before any walk, and exactly what a scan of that side's affixes
+    pushing one block per position costs: in letter order, the image of
+    each letter, the levels of the inverse blocks its scanned positions read
+    that no read charged before, then one block per position.
     """
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
@@ -249,7 +258,7 @@ def _common_prefix(x, y):
 def _overhangs(phi, k, inverse):
     """{"minus": g, "plus": g} for level k, from one walk over the distinct
     proper prefixes x of the images phi^k(a), each preimage P = phi^-k(x)
-    built once by _push_block.
+    reached from the one before it by one block.
 
     The plus side asks whether P is (positives+)(negatives).  The minus side
     asks the same of a^-1 P, the inverse of the suffix preimage, as
@@ -261,17 +270,26 @@ def _overhangs(phi, k, inverse):
     overhangs are the last run of P, so only a last run longer than the best
     so far is looked at.
 
+    P is a persistent stack of slices of the level's inverse blocks, nothing
+    copied: a node (blk, off, end, below, size, runs, first, last, head, c)
+    puts blk[off:end], a slice of c's block, on top of the preimage below,
+    with all the two sides ask of the whole preimage: its byte size, its
+    sign runs (4 standing for 4 or more), the byte lengths of its first and
+    last runs, and its first letter.  A push cancels whole slices off the
+    top, cuts the one it stops in, and puts the block's uncancelled tail on
+    top; against a whole tail of a block, the cancellation is read from a
+    table of block-pair overlaps, so only the slices below are searched.
+
     The images are walked in sorted order, each resuming from its common
-    prefix with the one before it.  The preimage is copied only at the depths
-    where a later image resumes, by the last image to reach that depth before
-    it, so at most N - 1 copies are kept at once.
+    prefix with the one before it: the node at each depth where a later
+    image resumes is kept, by the last image to reach that depth before it.
     """
     width = inverse.width
     letters = inverse.levels[0]
     walk = sorted((phi.letter_image(a, k), a) for a in phi.alphabet.letters())
     n = len(walk)
     shared = [0] + [_common_prefix(x, y) for (x, _), (y, _) in zip(walk, walk[1:])]
-    # The depths each image copies its preimage at: image j resumes from the
+    # The depths each image keeps its preimage at: image j resumes from the
     # last image before it that walked its depth shared[j].
     saves = [set() for _ in walk]
     for j in range(1, n):
@@ -281,24 +299,76 @@ def _overhangs(phi, k, inverse):
                 i -= 1
             saves[i].add(shared[j])
 
-    def opens_own_image(w, j, depth):
-        """Whether w starts with a letter whose image has the first depth
-        letters of image j as a proper prefix: the images from j on that
-        share them."""
+    def opens_own_image(head, j, depth):
+        """Whether head, a preimage's first letter, is a letter whose image
+        has the first depth letters of image j as a proper prefix: the
+        images from j on that share them."""
         for t in range(j, n):
             if t > j and shared[t] < depth:
                 return False
-            if w.startswith(letters[walk[t][1]][0]):
+            if head == letters[walk[t][1]][0]:
                 return True
         return False
 
+    blocks, overlaps = {}, {}
+
+    def slice_node(blk, off, end, below, c):
+        """The node of blk[off:end], a slice of c's block, on top of below."""
+        m = _RUNS.match(blk, off, end)
+        runs = m.lastindex
+        first, last = m.end(1) - off, end - m.start(runs)
+        if below is None:
+            head = blk[off:off + width]
+            return blk, off, end, None, end - off, runs, first, last, head, c
+        b, _, e, _, size, r, f, t, head, _ = below
+        if not (b[e - 1] ^ blk[off]) & 0x80:  # one run across the seam
+            f += first if r == 1 else 0
+            last += t if runs == 1 else 0
+            runs -= 1
+        size += end - off
+        return blk, off, end, below, size, min(4, r + runs), f, last, head, c
+
+    def push(node, c):
+        """node's preimage times c's block, freely reduced: cancelled slices
+        go, a partly cancelled one is cut, the block's tail goes on top."""
+        enc, inv, far = blocks[c]
+        pos = size = len(inv)
+        while node and pos:
+            blk, off, end, below = node[:4]
+            span = end - off
+            n = (span if span < pos else pos) // width
+            if blk[end - 1] != inv[pos - 1]:
+                m = 0  # the last letters differ in their last bytes
+            elif pos < size or end < len(blk):
+                m = _common_suffix(blk, end, inv, pos, n, width)
+            else:
+                # A whole tail of a block against all of c's: the overlap
+                # of the two whole blocks decides, read from the table.
+                key = node[9], c
+                m = overlaps.get(key)
+                if m is None:
+                    most = (end if end < size else size) // width
+                    m = overlaps[key] = _common_suffix(blk, end, inv, size, most, width)
+                m = m if m < n else n
+            pos -= m * width
+            if m * width < span:
+                if m:
+                    node = slice_node(blk, off, end - m * width, below, node[9])
+                break
+            node = below
+        cut = size - pos
+        if cut < far and node:
+            # The tail has four sign runs or more, and so has the preimage.
+            return enc, cut, size, node, node[4] + size - cut, 4, 0, 0, node[8], c
+        return slice_node(enc, cut, size, node, c) if cut < size else node
+
     minus = plus = 0
-    stack, blocks = [(0, b"")], {}
+    stack = [(0, None)]
     for j, (image, _) in enumerate(walk):
         r, save = shared[j], saves[j]
         while stack[-1][0] > r:
             stack.pop()
-        w = bytearray(stack[-1][1])
+        node = stack[-1][1]
         last = len(image) - 1
         # The common prefix was checked by the image before, unless it is
         # that whole image; a depth past the last proper prefix is walked
@@ -307,35 +377,32 @@ def _overhangs(phi, k, inverse):
         for depth in range(first, max(last, max(save, default=0)) + 1):
             if depth > r:
                 c = image[depth - 1]
-                block = blocks.get(c)
-                if block is None:
-                    block = blocks[c] = inverse.block(c, k)
-                _push_block(w, block, width)
+                if c not in blocks:
+                    # A tail of enc has four sign runs or more if it starts
+                    # before far, the start of enc's third run from the end.
+                    enc, inv = inverse.block(c, k)
+                    m = _RUNS.match(enc[::-1])
+                    far = len(enc) - m.end(3) if m.lastindex > 2 else 0
+                    blocks[c] = enc, memoryview(inv), far
+                node = push(node, c)
                 if depth in save:
-                    stack.append((depth, bytes(w)))
+                    stack.append((depth, node))
                 if depth > last:
                     continue
-            size = len(w)
-            if size <= width and (
-                not w or (w[0] & 0x80 and opens_own_image(w, j, depth))
-            ):
+            if node is None or node[4] <= width and opens_own_image(node[8], j, depth):
                 raise InvariantViolation("affix preimage reduced to nothing")
-            # Plus: P is (positives+)(negatives).
-            tail = (plus + 1) * width
-            if size > tail and w[0] & 0x80 and not w[-tail:].lstrip(_NEGATIVE):
-                rest = w.rstrip(_NEGATIVE)
-                if not rest.lstrip(_POSITIVE):
-                    plus = (size - len(rest)) // width
-            # Minus: a^-1 P is (negatives+)(positives).
-            tail = (minus + 1) * width
-            if size >= tail and not w[-tail:].lstrip(_POSITIVE):
-                rest = w.rstrip(_POSITIVE)
-                if not rest.lstrip(_NEGATIVE) or (
-                    rest[0] & 0x80
-                    and not rest[width:].lstrip(_NEGATIVE)
-                    and opens_own_image(rest, j, depth)
+            if node[5] == 4:
+                continue
+            blk, _, end, _, _, runs, first_run, last_run, head, _ = node
+            if blk[end - 1] & 0x80:
+                # Minus: a^-1 P is (negatives+)(positives).
+                if last_run > minus * width and (
+                    runs < 3 or first_run == width and opens_own_image(head, j, depth)
                 ):
-                    minus = (size - len(rest)) // width
+                    minus = last_run // width
+            elif runs == 2 and head[0] & 0x80 and last_run > plus * width:
+                # Plus: P is (positives+)(negatives).
+                plus = last_run // width
     return {"minus": minus, "plus": plus}
 
 
@@ -349,15 +416,8 @@ def _suffix_trie(blocks):
     shortest = min(blocks, key=len)
     n = len(shortest)
     for blk in blocks:
-        # The common suffix is the longest one of shortest that blk ends with.
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if blk.endswith(memoryview(shortest)[len(shortest) - mid:]):
-                lo = mid
-            else:
-                hi = mid - 1
-        n = lo
+        # The common suffix, in bytes: one-byte letters to _common_suffix.
+        n = _common_suffix(blk, len(blk), memoryview(shortest), len(shortest), n, 1)
     groups = {}
     for blk in blocks:
         if len(blk) > n:

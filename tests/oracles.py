@@ -256,6 +256,80 @@ def gamma_bound_by_letters(phi, k, side, budget=None):
     return best
 
 
+_POSITIVE_BYTES, _NEGATIVE_BYTES = bytes(range(128, 256)), bytes(range(128))
+
+
+def overhangs_flat(phi, k, inverse):
+    """{"minus": g, "plus": g} for level k, as fgindex.gamma._overhangs
+    returns it, from the same walk over the sorted images with each
+    preimage held flat: a bytearray that gamma._push_block reduces in place,
+    copied at every depth a later image resumes from, with every sign check
+    a strip over the whole preimage."""
+    width = inverse.width
+    letters = inverse.levels[0]
+    walk = sorted((phi.letter_image(a, k), a) for a in phi.alphabet.letters())
+    n = len(walk)
+    shared = [0] + [
+        gamma._common_prefix(x, y) for (x, _), (y, _) in zip(walk, walk[1:])
+    ]
+    saves = [set() for _ in walk]
+    for j in range(1, n):
+        if shared[j]:
+            i = j - 1
+            while shared[i] >= shared[j]:
+                i -= 1
+            saves[i].add(shared[j])
+
+    def opens_own_image(w, j, depth):
+        for t in range(j, n):
+            if t > j and shared[t] < depth:
+                return False
+            if w.startswith(letters[walk[t][1]][0]):
+                return True
+        return False
+
+    minus = plus = 0
+    stack, blocks = [(0, b"")], {}
+    for j, (image, _) in enumerate(walk):
+        r, save = shared[j], saves[j]
+        while stack[-1][0] > r:
+            stack.pop()
+        w = bytearray(stack[-1][1])
+        last = len(image) - 1
+        first = r if r and r == len(walk[j - 1][0]) else r + 1
+        for depth in range(first, max(last, max(save, default=0)) + 1):
+            if depth > r:
+                c = image[depth - 1]
+                block = blocks.get(c)
+                if block is None:
+                    block = blocks[c] = inverse.block(c, k)
+                gamma._push_block(w, block, width)
+                if depth in save:
+                    stack.append((depth, bytes(w)))
+                if depth > last:
+                    continue
+            size = len(w)
+            if size <= width and (
+                not w or (w[0] & 0x80 and opens_own_image(w, j, depth))
+            ):
+                raise InvariantViolation("affix preimage reduced to nothing")
+            tail = (plus + 1) * width
+            if size > tail and w[0] & 0x80 and not w[-tail:].lstrip(_NEGATIVE_BYTES):
+                rest = w.rstrip(_NEGATIVE_BYTES)
+                if not rest.lstrip(_POSITIVE_BYTES):
+                    plus = (size - len(rest)) // width
+            tail = (minus + 1) * width
+            if size >= tail and not w[-tail:].lstrip(_POSITIVE_BYTES):
+                rest = w.rstrip(_POSITIVE_BYTES)
+                if not rest.lstrip(_NEGATIVE_BYTES) or (
+                    rest[0] & 0x80
+                    and not rest[width:].lstrip(_NEGATIVE_BYTES)
+                    and opens_own_image(rest, j, depth)
+                ):
+                    minus = (size - len(rest)) // width
+    return {"minus": minus, "plus": plus}
+
+
 def peel_depth(phi, k, side, v):
     """Most image blocks strippable off the rotation-fed end of v."""
     letters = list(phi.alphabet.letters())

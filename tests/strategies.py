@@ -63,6 +63,14 @@ def relabelled(phi, perm):
     return validate(phi.alphabet, images, inverse)
 
 
+def reversed_map(phi):
+    """tau phi tau, for tau the reversal of words: every image and every
+    inverse image read backwards."""
+    images = [w[::-1] for w in phi.images]
+    inverse = [w[::-1] for w in phi.inverse_images]
+    return validate(phi.alphabet, images, inverse)
+
+
 @st.composite
 def positive_automorphisms(draw, max_rank=4):
     """A product phi = e_1 . e_2 ... e_m of 2-8 elementary positive moves on

@@ -29,7 +29,7 @@ from fgindex.words import EPSILON, Alphabet, invert
 
 import oracles
 from conftest import fresh_map
-from strategies import positive_automorphisms, relabelled
+from strategies import positive_automorphisms, relabelled, reversed_map
 
 ALL = ["rank3", "rank4", "fibonacci", "rank6", "rank14"]
 
@@ -478,6 +478,73 @@ def test_gamma_bound_ignores_the_naming_of_the_generators(phi, data):
                 moved, k, side, moved_used
             )
             assert used.used == moved_used.used
+
+
+def _assert_walk_matches_flat_walk(phi, levels):
+    """The slice-stack walk against the flat one, level by level, both on
+    phi's own inverse blocks."""
+    inverse = fgindex.gamma._inverse_blocks(phi)
+    for k in levels:
+        got = fgindex.gamma._overhangs(phi, k, inverse)
+        assert got == oracles.overhangs_flat(phi, k, inverse), k
+
+
+# (map, deepest level) for the walk against the flat walk.
+FLAT_WALK_LEVELS = [
+    ("rank6_cyclic", 9),
+    ("rank4", 5),
+    ("rank3", 6),
+    ("rank14_cyclic", 6),
+    ("fibonacci", 10),
+] + [(f"family{n}", 12) for n in range(2, 10)]
+
+
+@pytest.mark.parametrize("name, top", FLAT_WALK_LEVELS)
+def test_overhangs_match_the_flat_walk(name, top):
+    _assert_walk_matches_flat_walk(fresh_map(name), range(1, top + 1))
+
+
+@pytest.mark.parametrize("name", ["family128", "family129", "family129swap"])
+def test_overhangs_match_the_flat_walk_at_wide_ranks(name):
+    # Two-byte letters from rank 129 on; level rank is the first at which
+    # every image is longer than one letter.
+    phi = fresh_map(name)
+    _assert_walk_matches_flat_walk(phi, (1, 2, 3, phi.rank))
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms())
+def test_overhangs_match_the_flat_walk_on_drawn_automorphisms(phi):
+    for k in (1, 2, 3, 4):
+        if max(phi.image_lengths(k)) > 2000:
+            break
+        _assert_walk_matches_flat_walk(phi, (k,))
+
+
+def _assert_reversal_swaps_the_sides(phi, levels):
+    """gamma_bound of tau phi tau on each side is phi's on the other: with
+    every image reversed, the prefixes of the images are the reversed
+    suffixes and every preimage is reversed too."""
+    rev = reversed_map(phi)
+    for k in levels:
+        for side, other in (SIDES, SIDES[::-1]):
+            got = gamma_bound(rev, k, side, unlimited())
+            assert got == gamma_bound(phi, k, other, unlimited()), (k, side)
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [("fibonacci", 6), ("rank3", 6), ("rank4", 5), ("rank6_cyclic", 6), ("rank14_cyclic", 5)],
+)
+def test_reversal_swaps_the_gamma_bound_sides(name, top):
+    _assert_reversal_swaps_the_sides(fresh_map(name), range(1, top + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms(max_rank=3))
+def test_reversal_swaps_the_gamma_bound_sides_on_drawn_automorphisms(phi):
+    levels = [k for k in (1, 2, 3, 4) if max(phi.image_lengths(k)) <= 2000]
+    _assert_reversal_swaps_the_sides(phi, levels)
 
 
 # -- cutoff indices ------------------------------------------------------------------

@@ -78,7 +78,7 @@ def _assert_forced_levels_charge_the_frozen_letters(name, top):
 
 def test_forced_levels_charge_the_frozen_letters():
     # rank6_cyclic's levels are nearly all gamma_bound letters.
-    _assert_forced_levels_charge_the_frozen_letters("rank6_cyclic", 9)
+    _assert_forced_levels_charge_the_frozen_letters("rank6_cyclic", 10)
 
 
 def test_forced_rank14_cyclic_levels_charge_the_frozen_letters():
