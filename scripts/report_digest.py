@@ -49,26 +49,34 @@ INPUTS = (
 )
 
 
-def report_digests(source, kwargs):
-    """(report digest, result digest) of one input."""
+def load(source):
+    """The map of one input: a bundled map's name or a family rank."""
     if isinstance(source, int):
-        phi = cyclic_family(source)
-    else:
-        phi = load_automorphism(str(AUT_DIR / f"{source}.aut"))
-    analysis = analyze(phi, RunConfig(**kwargs))
+        return cyclic_family(source)
+    return load_automorphism(str(AUT_DIR / f"{source}.aut"))
+
+
+def report_texts(phi, config):
+    """(report, result) texts of analysing phi under config: the JSON report
+    and the DOT graph, and the same without sweep.budget_used."""
+    analysis = analyze(phi, config)
     report = report_dict(analysis)
     dot = sgraph.to_dot(
         phi, analysis.result.singularities, analysis.graph, phi.alphabet
     )
     full = json.dumps(report, indent=2, sort_keys=True) + "\n" + dot
     del report["sweep"]["budget_used"]
-    result = json.dumps(report, indent=2, sort_keys=True) + "\n" + dot
-    return [hashlib.sha256(t.encode("utf-8")).hexdigest() for t in (full, result)]
+    return full, json.dumps(report, indent=2, sort_keys=True) + "\n" + dot
+
+
+def digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def main():
     for label, source, kwargs in INPUTS:
-        print(label, *report_digests(source, kwargs), flush=True)
+        texts = report_texts(load(source), RunConfig(**kwargs))
+        print(label, *map(digest, texts), flush=True)
     return 0
 
 

@@ -63,7 +63,11 @@ class Automorphism:
 
     def letter_image(self, a, k, budget=None):
         """phi^k(a) for a positive letter a, memoized.  Missing levels are
-        stepped up from the highest cached one, each charged as it is built."""
+        stepped up from the highest cached one.  Each level is charged to a
+        budget once (Budget.charge_levels, key a), built level by level as it
+        is charged, so a deep first request stops at the budget."""
+        if budget is not None:
+            budget.charge_levels(a, k, lambda j: len(self.letter_image(a, j)))
         cache = self._img_cache
         i = k
         while i > 0 and (a, i) not in cache:
@@ -73,10 +77,7 @@ class Automorphism:
             out = []
             for x in word:
                 out.extend(self.images[x - 1])
-            word = tuple(out)
-            if budget is not None:
-                budget.charge(len(word))
-            cache[(a, j)] = word
+            word = cache[(a, j)] = tuple(out)
         return word
 
     # -- arithmetic on counts, no materialization ----------------------------
@@ -125,14 +126,12 @@ class Automorphism:
 
     # -- whole-word application ----------------------------------------------
 
-    def apply(self, u, k=1, direction="forward", budget=None):
-        """phi^(+-k)(u) for a reduced word u, reduced."""
+    def apply(self, u, k=1, budget=None):
+        """phi^k(u) for a reduced word u, reduced."""
         if k < 0:
-            raise ValueError("k must be nonnegative; use direction='inverse'")
-        if direction not in ("forward", "inverse"):
-            raise ValueError(f"bad direction {direction!r}")
+            raise ValueError("k must be nonnegative")
         word = tuple(u)
-        if direction == "forward" and purity(word) is Purity.PURE_POSITIVE:
+        if purity(word) is Purity.PURE_POSITIVE:
             # No cancellation can occur between pure positive images.
             out = []
             for x in word:
@@ -140,13 +139,8 @@ class Automorphism:
             if budget is not None:
                 budget.charge(len(out))
             return tuple(out)
-        table = (
-            self.image_of_letter
-            if direction == "forward"
-            else self.inverse_image_of_letter
-        )
         for _ in range(k):
-            word = concat(*map(table, word))
+            word = concat(*map(self.image_of_letter, word))
             if budget is not None:
                 budget.charge(len(word))
         return word
@@ -199,31 +193,24 @@ class Automorphism:
         The ray is the limit of phi^(cycle_len * t)(c); each image ends with
         the previous word, so iterating on a suffix converges.
         """
-        key = ("tail", c, cycle_len)
-        word = self._ray_cache.get(key, (c,))
-        while len(word) < need:
-            grown = self.apply(word, cycle_len)
-            if len(grown) == len(word):
-                raise CapExceeded("letter images do not grow under iteration")
-            word = grown
-            if len(word) > 4 * need:
-                word = word[-2 * need:]
-        self._ray_cache[key] = word
-        return word[-need:]
+        return self._ray(c, cycle_len, need, head=False)
 
     def ray_head(self, b, cycle_len, need):
         """First `need` letters of the rightward-periodic ray starting at b."""
-        key = ("head", b, cycle_len)
-        word = self._ray_cache.get(key, (b,))
+        return self._ray(b, cycle_len, need, head=True)
+
+    def _ray(self, x, cycle_len, need, head):
+        key = (head, x, cycle_len)
+        word = self._ray_cache.get(key, (x,))
         while len(word) < need:
             grown = self.apply(word, cycle_len)
             if len(grown) == len(word):
                 raise CapExceeded("letter images do not grow under iteration")
             word = grown
             if len(word) > 4 * need:
-                word = word[: 2 * need]
+                word = word[: 2 * need] if head else word[-2 * need:]
         self._ray_cache[key] = word
-        return word[:need]
+        return word[:need] if head else word[-need:]
 
     def image_affix(self, a, i, r, first):
         """The first r letters of phi^i(a) for a positive letter a, or with
@@ -300,7 +287,6 @@ def validate(alphabet, images, inverse_images):
             )
     phi = Automorphism(alphabet, images, inverse_images)
     for a in alphabet.letters():
-        # Not through apply, which would cache level-1 images uncharged.
         back = concat(*map(phi.image_of_letter, phi.inverse_images[a - 1]))
         if back != (a,):
             raise NotInverse(

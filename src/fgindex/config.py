@@ -5,6 +5,10 @@ truncation guard, not a correctness condition: when it runs out the sweep
 stops early and reports itself incomplete.  Reading letters already charged
 is free: a peel check reads stream bytes whose growth was charged, so the
 charges of a level do not depend on which streams the star search visits.
+
+The images phi^j(a) and inverse blocks phi^-j(c) cached on the map are
+charged once per budget and level (Budget.charge_levels), whoever built them,
+so a run's charges do not depend on what ran before on the map.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ LEVEL_FRACTION = 16
 
 
 class Budget:
-    """Mutable letter counter with a hard limit."""
+    """Mutable letter counter with a hard limit and a record of charges."""
 
     def __init__(self, limit=DEFAULT_BUDGET):
         self.limit = int(limit)
         self.used = 0
+        self.charged = {}  # the highest level of each key charged so far
 
     @property
     def remaining(self) -> int:
@@ -39,6 +44,13 @@ class Budget:
             raise BudgetExceeded(
                 f"letter budget exhausted ({self.used} > {self.limit})"
             )
+
+    def charge_levels(self, key, k, size):
+        """Charge size(j) for each level j <= k of key not yet charged,
+        lowest first.  Key a names phi^j(a), key -c the blocks phi^-j(c)."""
+        for j in range(self.charged.get(key, 0) + 1, k + 1):
+            self.charge(size(j))
+            self.charged[key] = j
 
 
 @dataclass

@@ -107,10 +107,10 @@ class EncodedLevel:
     phi^k(a) in the encoding of _letter_codes.  The loop census, the affix
     grouping of a full level and both sides' block tables read these."""
 
-    def __init__(self, phi, k, budget, inverse):
+    def __init__(self, phi, k, inverse):
         self.width, self.letters = inverse.width, inverse.levels[0]
         self.blocks = tuple(
-            _encode(phi.letter_image(a, k, budget), self.letters, self.width)
+            _encode(phi.letter_image(a, k), self.letters, self.width)
             for a in phi.alphabet.letters()
         )
 
@@ -120,13 +120,16 @@ class EncodedLevel:
 
 
 def encoded_level(phi, k, budget=None):
-    """Level k's EncodedLevel, kept on phi's _InverseBlocks.  It is built
-    from letter_image, in letter order, so it charges what reading every
-    image of the level charges."""
+    """Level k's EncodedLevel, kept on phi's _InverseBlocks.  Every call,
+    cached or not, charges what reading every image of the level in letter
+    order charges."""
+    if budget is not None:
+        for a in phi.alphabet.letters():
+            phi.letter_image(a, k, budget)
     inverse = _inverse_blocks(phi)
     level = inverse.images.get(k)
     if level is None:
-        level = inverse.images[k] = EncodedLevel(phi, k, budget, inverse)
+        level = inverse.images[k] = EncodedLevel(phi, k, inverse)
     return level
 
 
@@ -140,10 +143,10 @@ class _InverseBlocks:
     inverse word.  Blocks are flat bytes, which gamma_bound's walk slices
     in place.  Level j of c is the reduced product, by _push_block, of the
     level j-1 blocks over the letters of phi^-1(c); the block of c^-1 is
-    built alongside it from the inverted letters in reverse.  A level of a
-    letter is charged once, by the first read that reaches it; a block built
-    by block() alone is charged by the first read after it.  bounds is
-    {k: {"minus": g, "plus": g}}, and images is {k: EncodedLevel}.
+    built alongside it from the inverted letters in reverse.  Nothing here is
+    charged: gamma_bound charges each level of a block to its budget (see
+    Budget.charge_levels).  bounds is {k: {"minus": g, "plus": g}}, and
+    images is {k: EncodedLevel}.
     """
 
     def __init__(self, phi):
@@ -151,21 +154,11 @@ class _InverseBlocks:
         self.inverse_images = phi.inverse_images
         self.width, letters = _letter_codes(phi.rank)
         self.levels = [letters]
-        self.charged = {}  # the highest level of each letter charged so far
         self.bounds = {}
         self.images = {}
 
-    def read(self, x, k, budget):
-        """Level k of x.  Each level j of |x| no earlier read charged is
-        built and then charged |phi^-j(|x|)|."""
-        c = abs(x)
-        for j in range(self.charged.get(c, 0) + 1, k + 1):
-            budget.charge(len(self.block(c, j)[0]) // self.width)
-            self.charged[c] = j
-        return self.block(x, k)
-
     def block(self, x, k):
-        """Level k of x, built uncharged if it is missing."""
+        """Level k of x, built if it is missing."""
         try:
             return self.levels[k][x]
         except (IndexError, KeyError):
@@ -218,7 +211,8 @@ def gamma_bound(phi, k, side, budget):
     side, before any walk, and exactly what a scan of that side's affixes
     pushing one block per position costs: in letter order, the image of
     each letter, the levels of the inverse blocks its scanned positions read
-    that no read charged before, then one block per position.
+    that this budget has not been charged for (Budget.charge_levels, key -c
+    for phi^-j(c)), then one block per position.
     """
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
@@ -233,7 +227,10 @@ def gamma_bound(phi, k, side, budget):
         scanned = dict.fromkeys(image[:-1] if plus else image[:0:-1])
         for c in scanned:
             if c not in sizes:
-                sizes[c] = len(inverse.read(c, k, budget)[0])
+                budget.charge_levels(
+                    -c, k, lambda j: len(inverse.block(c, j)[0]) // inverse.width
+                )
+                sizes[c] = len(inverse.block(c, k)[0])
         skip = image[-1] if plus else image[0]
         size = sum((occ[c - 1][a - 1] - (c == skip)) * sizes[c] for c in scanned)
         budget.charge(size // inverse.width)
@@ -457,9 +454,9 @@ class _BlockTable:
         return _suffix_trie([entry[1] for entry in self.codes.values()])
 
 
-def _block_table(phi, k, side, budget):
+def _block_table(phi, k, side):
     """Level k's _BlockTable on one side."""
-    return _BlockTable(encoded_level(phi, k, budget), side)
+    return _BlockTable(encoded_level(phi, k), side)
 
 
 class Stream:
@@ -675,8 +672,8 @@ def all_matches(phi, k, side, starts, budget):
         raise ValueError("empty affixes are matched separately")
     if len(starts) < 2:
         return {}
-    g = gamma_bound(phi, k, side, budget)
-    table = _block_table(phi, k, side, budget)
+    g = gamma_bound(phi, k, side, budget)  # charges the images the table reads
+    table = _block_table(phi, k, side)
     streams = [Stream(table, a, n, budget) for a, n in starts]
     horizon, stars = _horizon(streams, g)
     for s in streams:

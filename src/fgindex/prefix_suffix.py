@@ -69,7 +69,7 @@ class Loop:
         return Triplet(self.p, self.a, self.s, self.level, self.a)
 
 
-def loops(phi, k, budget=None):
+def loops(phi, k):
     """One Loop per occurrence of a letter a in phi^k(a), so per triplet
     (p, a, s) with phi^k(a) = p*a*s.
 
@@ -78,7 +78,7 @@ def loops(phi, k, budget=None):
     too.  Found by letter and then by position, each p a proper prefix of
     the next, they come out sorted by (a, p, s) for deterministic iteration.
     """
-    level = encoded_level(phi, k, budget)
+    level = encoded_level(phi, k)
     out = []
     for a in phi.alphabet.letters():
         image = phi.letter_image(a, k)

@@ -288,11 +288,11 @@ def _full_level(phi, k, registry, budget, merged):
     anchor points, in groups of two or more or in matched groups, become
     Triplets.
     """
-    level_loops = loops(phi, k, budget)
+    level = encoded_level(phi, k, budget)
+    level_loops = loops(phi, k)
     occ = phi.occurrence_matrix(k)
     if len(level_loops) != sum(occ[a][a] for a in range(phi.rank)):
         raise InvariantViolation("loop census disagrees with the occurrence matrix")
-    level = encoded_level(phi, k, budget)
     blocks, width = level.blocks, level.width
     for side in ("minus", "plus"):
         if side == "minus":

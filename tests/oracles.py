@@ -180,24 +180,29 @@ def encode_block(seq, rank):
     return enc, inv
 
 
-# Inverse letter images by map, {(a, k): phi^-k(a)}, for gamma_bound_by_letters.
+# Inverse letter images by map, {(a, k): phi^-k(a)}, and the highest level of
+# each letter charged by budget, {a: k}, for gamma_bound_by_letters.
 _INVERSE_IMAGES = weakref.WeakKeyDictionary()
+_CHARGED = weakref.WeakKeyDictionary()
 
 
 def inverse_letter_image(phi, a, k, budget=None):
     """phi^-k(a) for a positive letter a, stepped up from the highest cached
-    level by substituting phi^-1, each new level charged as it is built and
-    cached per map, so a level is charged once per map as gamma_bound does."""
+    level by substituting phi^-1 and cached per map.  Each level is charged
+    once per budget, lowest first, as gamma_bound does, whichever budget's
+    read built it."""
     cache = _INVERSE_IMAGES.setdefault(phi, {})
     i = k
     while i > 0 and (a, i) not in cache:
         i -= 1
     word = cache[(a, i)] if i else (a,)
     for j in range(i + 1, k + 1):
-        word = unapply_once(phi, word)
-        if budget is not None:
-            budget.charge(len(word))
-        cache[(a, j)] = word
+        word = cache[(a, j)] = unapply_once(phi, word)
+    if budget is not None:
+        charged = _CHARGED.setdefault(budget, {})
+        for j in range(charged.get(a, 0) + 1, k + 1):
+            budget.charge(len(cache[(a, j)]))
+            charged[a] = j
     return word
 
 
@@ -505,7 +510,7 @@ def all_matches_by_windows(phi, k, side, starts, budget):
     if len(starts) < 2:
         return {}
     g = gamma.gamma_bound(phi, k, side, budget)
-    table = gamma._block_table(phi, k, side, budget)
+    table = gamma._block_table(phi, k, side)
     streams = [gamma.Stream(table, a, n, budget) for a, n in starts]
     stars = [gamma.star_index(s, g) for s in streams]
     horizon = max(s.lens[i] for s, i in zip(streams, stars))

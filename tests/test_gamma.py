@@ -60,7 +60,7 @@ def starts(phi, k, side):
 def stream(phi, k, side, start):
     """The stream all_matches builds for one start."""
     a, n = start
-    return Stream(_block_table(phi, k, side, unlimited()), a, n, unlimited())
+    return Stream(_block_table(phi, k, side), a, n, unlimited())
 
 
 def grown_streams(phi, k, side):
@@ -68,7 +68,7 @@ def grown_streams(phi, k, side):
     up to its first window longer than the common horizon."""
     budget = unlimited()
     g = gamma_bound(phi, k, side, budget)
-    table = _block_table(phi, k, side, budget)
+    table = _block_table(phi, k, side)
     streams = [Stream(table, a, n, budget) for _, (a, n) in starts(phi, k, side)]
     horizon = max((s.lens[star_index(s, g)] for s in streams), default=0)
     for s in streams:
@@ -383,7 +383,6 @@ ORDERS = [("minus",), ("plus",), SIDES, SIDES[::-1]]
 
 @pytest.mark.parametrize("name, top", REFERENCE_LEVELS)
 def test_gamma_bound_matches_letter_reference(name, top):
-    # Fresh maps for each order, so both pay the same image computations.
     for order in ORDERS:
         calls = [(k, side) for k in range(1, top + 1) for side in order]
         _assert_calls_match_letter_reference(fresh_map(name), fresh_map(name), calls)
@@ -623,7 +622,7 @@ def _assert_one_check_settles_each_stream(phi, k_max=3):
     for k in range(1, k_max + 1):
         for side in SIDES:
             g = gamma_bound(phi, k, side, unlimited())
-            table = _block_table(phi, k, side, unlimited())
+            table = _block_table(phi, k, side)
             xs = [x for _, x in starts(phi, k, side)]
             if not xs:
                 continue

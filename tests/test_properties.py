@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgindex import sgraph
-from fgindex.automorphism import validate
 from fgindex.cli import analyze, report_dict
 from fgindex.config import RunConfig
 from fgindex.errors import UndefinedShift
@@ -305,16 +304,11 @@ def test_shift_roundtrip_on_drawn_loops(rank3, data):
 # -- metamorphic properties over drawn maps -------------------------------------
 
 
-def _fresh(phi):
-    # Image caches on a map lower later charges, so every run gets its own.
-    return validate(phi.alphabet, phi.images, phi.inverse_images)
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(positive_automorphisms())
 def test_doubled_index_grows_with_level_target(phi):
     doubled = [
-        find_all(_fresh(phi), RunConfig(max_k=m, budget=10**6)).doubled
+        find_all(phi, RunConfig(max_k=m, budget=10**6)).doubled
         for m in range(1, 4 * phi.rank - 3)
     ]
     assert doubled == sorted(doubled)
@@ -332,10 +326,10 @@ CERTIFIED_FIELDS = (
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(positive_automorphisms())
 def test_certified_run_survives_a_larger_budget(phi):
-    low = report_dict(analyze(_fresh(phi), RunConfig(budget=10**5)))
+    low = report_dict(analyze(phi, RunConfig(budget=10**5)))
     if not low["complete"]:
         return
-    high = report_dict(analyze(_fresh(phi), RunConfig(budget=10**6)))
+    high = report_dict(analyze(phi, RunConfig(budget=10**6)))
     assert high["complete"]
     for field in CERTIFIED_FIELDS:
         assert high[field] == low[field], field
@@ -362,7 +356,7 @@ def _shape(result):
 def test_relabelling_the_generators_moves_no_count(phi, data):
     perm = data.draw(st.permutations(range(1, phi.rank + 1)), label="perm")
     config = RunConfig(budget=10**6)
-    assert _shape(find_all(_fresh(phi), config)) == _shape(
+    assert _shape(find_all(phi, config)) == _shape(
         find_all(relabelled(phi, perm), config)
     )
 
@@ -370,7 +364,6 @@ def test_relabelling_the_generators_moves_no_count(phi, data):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(positive_automorphisms(max_rank=3))
 def test_rays_and_fixing_powers_match_the_level_zero_oracles(phi):
-    phi = _fresh(phi)
     for s in find_all(phi, RunConfig(budget=10**5)).singularities:
         for p in s.point_list():
             for d in range(1, 9):
@@ -387,6 +380,6 @@ def test_complete_rank_two_runs_have_index_one(phi, budget):
     # Every automorphism of F_2 is realised on the once-punctured torus,
     # a surface with one boundary component, so its index attains N - 1
     # (Gaboriau, Jaeger, Levitt and Lustig, 1998): doubled index 2.
-    result = find_all(_fresh(phi), RunConfig(budget=budget))
+    result = find_all(phi, RunConfig(budget=budget))
     if result.complete:
         assert result.doubled == 2

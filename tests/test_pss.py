@@ -437,9 +437,6 @@ def test_point_json_shapes(fibonacci, rank4):
 
 
 # -- level-offset moves against their one-step references ---------------------------
-#
-# Each map here is loaded fresh: the references fill phi's image caches without
-# charging a budget, which would move budget_used for later runs on a shared map.
 
 SWEPT = [
     ("rank3", None),
