@@ -12,44 +12,26 @@ from __future__ import annotations
 
 import dataclasses
 from itertools import chain, cycle
+from typing import NamedTuple
 
 from .errors import InvariantViolation, UndefinedShift
 from .gamma import encoded_level
 from .words import EPSILON, Word, invert
 
 
-@dataclasses.dataclass(frozen=True)
-class Triplet:
-    """One decomposition phi^level(parent) = p * a * s around the letter a."""
+class Triplet(NamedTuple):
+    """One decomposition phi^level(parent) = p * a * s, held as the position
+    of a in the image: p, a and s are read off the image, which loops and
+    level-1 triplets share with phi's caches instead of copying."""
 
-    p: Word
-    a: int
-    s: Word
+    image: Word
+    pos: int
     level: int
     parent: int
 
-    def body(self):
-        return (self.p, self.a, self.s)
-
-    def render(self, alphabet):
-        parts = []
-        for w in (self.p, (self.a,), self.s):
-            parts.append(alphabet.format_word(tuple(w)) if w else "e")
-        return f"({parts[0]}, {parts[1]}, {parts[2]})"
-
-
-class Loop:
-    """One loop phi^level(a) = p * a * s, held as the position of a in the
-    cached image: p and s are sliced from it only when they are read, and
-    triplet() makes the Triplet that anchors points."""
-
-    __slots__ = ("image", "a", "pos", "level")
-
-    def __init__(self, image, a, pos, level):
-        self.image, self.a, self.pos, self.level = image, a, pos, level
-
-    def __repr__(self):
-        return f"Loop(a={self.a}, pos={self.pos}, level={self.level})"
+    @property
+    def a(self):
+        return self.image[self.pos]
 
     @property
     def p(self):
@@ -59,30 +41,35 @@ class Loop:
     def s(self):
         return self.image[self.pos + 1:]
 
-    @property
-    def parent(self):
-        return self.a
+    def body(self):
+        w, i = self.image, self.pos
+        return (w[:i], w[i], w[i + 1:])
 
-    body, render = Triplet.body, Triplet.render
-
-    def triplet(self):
-        return Triplet(self.p, self.a, self.s, self.level, self.a)
+    def render(self, alphabet):
+        parts = []
+        for w in (self.p, (self.a,), self.s):
+            parts.append(alphabet.format_word(tuple(w)) if w else "e")
+        return f"({parts[0]}, {parts[1]}, {parts[2]})"
 
 
 def loops(phi, k):
-    """One Loop per occurrence of a letter a in phi^k(a), so per triplet
-    (p, a, s) with phi^k(a) = p*a*s.
+    """One Triplet per occurrence of a letter a in phi^k(a), so per
+    phi^k(a) = p*a*s, on the cached image phi.letter_image(a, k).
 
     The occurrences are found in level k's encoded images (see
     gamma.encoded_level), which the affix grouping of a full level reads
     too.  Found by letter and then by position, each p a proper prefix of
     the next, they come out sorted by (a, p, s) for deterministic iteration.
+    Their number is the trace of the level's occurrence matrix.
     """
     level = encoded_level(phi, k)
     out = []
     for a in phi.alphabet.letters():
         image = phi.letter_image(a, k)
-        out += [Loop(image, a, pos, k) for pos in level.positions(a)]
+        out += [Triplet(image, pos, k, a) for pos in level.positions(a)]
+    occ = phi.occurrence_matrix(k)
+    if len(out) != sum(occ[a][a] for a in range(phi.rank)):
+        raise InvariantViolation("loop census disagrees with the occurrence matrix")
     return tuple(out)
 
 
@@ -118,7 +105,7 @@ def desubstitute(phi, t):
     The chain is returned innermost first: element 0 carries the same marked
     letter as t, element k-1 decomposes phi(t.parent).
     """
-    chain = _split(phi, t.parent, len(t.p), t.level)
+    chain = _split(phi, t.parent, t.pos, t.level)
     if chain[0].a != t.a:
         raise InvariantViolation("refinement lost the marked letter")
     return chain
@@ -127,7 +114,8 @@ def desubstitute(phi, t):
 def _split(phi, parent, pos, k):
     """Chain of k level-1 triplets, innermost first, marking the letter at
     offset pos of phi^k(parent).  Offsets are tracked with image lengths
-    only; nothing above level 1 is materialized."""
+    only; nothing above level 1 is materialized, and each triplet points
+    into its parent's level-1 image."""
     chain = [None] * k
     for i in range(k - 1, -1, -1):
         w = phi.images[parent - 1]
@@ -141,7 +129,7 @@ def _split(phi, parent, pos, k):
             m = pos
         if m >= len(w):
             raise InvariantViolation("marker fell outside the refined image")
-        chain[i] = Triplet(w[:m], w[m], w[m + 1:], 1, parent)
+        chain[i] = Triplet(w, m, 1, parent)
         parent = w[m]
     return chain
 
@@ -232,56 +220,42 @@ def check_chain(phi, dev):
         nxt = dev.at(i + 1)
         if t.parent != nxt.a:
             raise InvariantViolation("development chain is broken")
-        if phi.images[t.parent - 1] != t.p + (t.a,) + t.s:
+        if t.image != phi.images[t.parent - 1]:
             raise InvariantViolation("development triplet mismatch")
 
 
 class SymbolicPoint:
-    """A point of the subshift: S^shift of the point with development anchor*.
-
-    anchor is a level-k triplet.  When the anchor's development leaves one
-    side blank, seed names the letter whose periodic ray fills that side;
-    otherwise seed is None and the development alone pins the point.
+    """A point of the subshift: S^shift of the point with development anchor*,
+    for a level-k triplet anchor with letters on both sides.  Periodic points
+    come from periodic_point, with no anchor.
     """
 
-    __slots__ = ("phi", "anchor", "shift", "seed", "_key", "_dev", "_firsts")
+    __slots__ = ("phi", "anchor", "shift", "_key", "_dev", "_firsts")
 
-    def __init__(self, phi, anchor, shift, seed=None):
+    def __init__(self, phi, anchor, shift):
         self.phi = phi
         self.anchor = anchor
         self.shift = shift
-        self.seed = seed
         self._key = None
         self._dev = None
         self._firsts = None
 
     def __repr__(self):
-        body = self.anchor.body() if self.anchor is not None else None
-        return f"SymbolicPoint(anchor={body}, shift={self.shift}, seed={self.seed})"
+        if self.anchor is None:
+            return f"SymbolicPoint{self._key}"
+        return f"SymbolicPoint(anchor={self.anchor.body()}, shift={self.shift})"
 
     # -- canonical identity ---------------------------------------------------
 
     def key(self):
-        """A complete, hashable invariant of the denoted point.
-
-        Blank-sided anchors reduce to ("per", c, b, n): the point S^n of the
-        periodic point with left ray from c and right ray from b.  Generic
-        anchors reduce to ("dev", ...) holding the canonical level-1
-        development with the shift folded in.
+        """A complete, hashable invariant of the denoted point: ("per", c, b,
+        n) for S^n of the periodic point with left ray from c and right ray
+        from b, or ("dev", ...) holding the canonical level-1 development with
+        the shift folded in.
         """
-        if self._key is not None:
-            return self._key
-        t = self.anchor
-        if t.p == EPSILON and t.s == EPSILON:
-            raise InvariantViolation("single-letter image in a primitive map")
-        if t.p == EPSILON:
-            key = ("per", self.seed, t.a, self.shift)
-        elif t.s == EPSILON:
-            key = ("per", t.a, self.seed, self.shift - 1)
-        else:
-            key = ("dev",) + self.dev().key()
-        self._key = key
-        return key
+        if self._key is None:
+            self._key = ("dev",) + self.dev().key()
+        return self._key
 
     def kind(self):
         return self.key()[0]
@@ -405,12 +379,9 @@ def _ray_letters(phi, dev, r, right):
 
 
 def periodic_point(phi, c, b, n=0):
-    """The point S^n of the periodic point seeded (c, b), with no anchor.
-
-    Used where the seed letters are already known and materializing an
-    anchoring loop would cost an image computation for nothing.
-    """
-    point = SymbolicPoint(phi, None, n, seed=(c, b))
+    """The point S^n of the periodic point with left ray from c and right ray
+    from b, the one kind of point with no anchor."""
+    point = SymbolicPoint(phi, None, n)
     point._key = ("per", c, b, n)
     return point
 
@@ -419,25 +390,27 @@ def complete_for_anchor(phi, t, shift):
     """All points S^shift(W) over points W developing as the anchor t*.
 
     A generic anchor pins a single point.  A blank-sided anchor admits one
-    point per seed letter on the opposite cycle forming an admissible
-    2-factor with the anchor letter.
+    periodic point per seed letter on the opposite cycle forming an
+    admissible 2-factor with the anchor letter; a blank-suffix anchor's
+    marked letter sits one to the left of the periodic point's origin.
     """
+    blank_p, blank_s = t.pos == 0, t.pos == len(t.image) - 1
+    if blank_p and blank_s:
+        raise InvariantViolation("single-letter image in a primitive map")
+    if not (blank_p or blank_s):
+        return [SymbolicPoint(phi, t, shift)]
     admissible = two_factors(phi)
-    if t.p == EPSILON and t.s != EPSILON:
-        cycles = phi.cycle_letters("last")
+    if blank_p:
         return [
-            SymbolicPoint(phi, t, shift, seed=c)
-            for c in sorted(cycles)
+            periodic_point(phi, c, t.a, shift)
+            for c in sorted(phi.cycle_letters("last"))
             if (c, t.a) in admissible
         ]
-    if t.s == EPSILON and t.p != EPSILON:
-        cycles = phi.cycle_letters("first")
-        return [
-            SymbolicPoint(phi, t, shift, seed=b)
-            for b in sorted(cycles)
-            if (t.a, b) in admissible
-        ]
-    return [SymbolicPoint(phi, t, shift)]
+    return [
+        periodic_point(phi, t.a, b, shift - 1)
+        for b in sorted(phi.cycle_letters("first"))
+        if (t.a, b) in admissible
+    ]
 
 
 # -- action of the substitution on canonical keys ------------------------------
@@ -457,27 +430,24 @@ def _cycle_step(phi, side, letter, m):
 
 
 def apply_phi_power_key(phi, key, m):
-    """Key of the image of a point under m applications of the substitution.
-
-    A shifted periodic point lands at the image length of its offset window;
-    a development grows one blank-prefix triplet per step at the front.
+    """Key of the image of a periodic point's key ("per", c, b, n) under m
+    applications of the substitution: a shifted periodic point lands at the
+    image length of its offset window.  Developments move by _power_dev.
     """
-    if key[0] == "per":
-        _, c, b, n = key
-        c2 = _cycle_step(phi, "last", c, m)
-        b2 = _cycle_step(phi, "first", b, m)
-        if n == 0:
-            return ("per", c2, b2, 0)
-        lens = phi.image_lengths(m)
-        if n > 0:
-            lb = phi.cycle_letters("first")[b]
-            window = phi.ray_head(b, lb, n)
-        else:
-            lc = phi.cycle_letters("last")[c]
-            window = phi.ray_tail(c, lc, -n)
-        total = sum(lens[x - 1] for x in window)
-        return ("per", c2, b2, total if n > 0 else -total)
-    return ("dev",) + _power_dev(phi, _dev_from_key(key), m).key()
+    _, c, b, n = key
+    c2 = _cycle_step(phi, "last", c, m)
+    b2 = _cycle_step(phi, "first", b, m)
+    if n == 0:
+        return ("per", c2, b2, 0)
+    lens = phi.image_lengths(m)
+    if n > 0:
+        lb = phi.cycle_letters("first")[b]
+        window = phi.ray_head(b, lb, n)
+    else:
+        lc = phi.cycle_letters("last")[c]
+        window = phi.ray_tail(c, lc, -n)
+    total = sum(lens[x - 1] for x in window)
+    return ("per", c2, b2, total if n > 0 else -total)
 
 
 def _power_dev(phi, dev, m):
@@ -485,24 +455,16 @@ def _power_dev(phi, dev, m):
     heads, front = [], dev.at(0).a
     for _ in range(m):
         w = phi.images[front - 1]
-        heads.append(Triplet(EPSILON, w[0], w[1:], 1, front))
+        heads.append(Triplet(w, 0, 1, front))
         front = w[0]
     heads.reverse()
     return canonicalize(Development(tuple(heads) + dev.pre, dev.per))
 
 
-def _dev_from_key(key):
-    bodies = key[1] + key[2]
-    parents = [b[1] for b in bodies[1:]] + [key[2][0][1]]
-    chain = [Triplet(p, a, s, 1, up) for (p, a, s), up in zip(bodies, parents)]
-    n = len(key[1])
-    return Development(tuple(chain[:n]), tuple(chain[n:]))
-
-
 def shift_key(phi, key, delta):
-    if key[0] == "per":
-        return ("per", key[1], key[2], key[3] + delta)
-    return ("dev",) + shift_dev(phi, _dev_from_key(key), delta).key()
+    """Key of S^delta of a periodic point's key; developments move by
+    shift_dev."""
+    return ("per", key[1], key[2], key[3] + delta)
 
 
 def point_fixed_by(phi, point, wh, m):

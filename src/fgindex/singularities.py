@@ -284,37 +284,25 @@ def _full_level(phi, k, registry, budget, merged):
     images (gamma.encoded_level): bytes cache their hash and compare by
     memcmp.  The encoding is big-endian and fixed-width, with the sign bit
     set on positive letters, so positive words sort by their bytes exactly
-    as by their letter tuples, a proper prefix first.  Only the loops that
-    anchor points, in groups of two or more or in matched groups, become
-    Triplets.
+    as by their letter tuples, a proper prefix first.
     """
     level = encoded_level(phi, k, budget)
     level_loops = loops(phi, k)
-    occ = phi.occurrence_matrix(k)
-    if len(level_loops) != sum(occ[a][a] for a in range(phi.rank)):
-        raise InvariantViolation("loop census disagrees with the occurrence matrix")
     blocks, width = level.blocks, level.width
     for side in ("minus", "plus"):
         if side == "minus":
-            keys = [blocks[t.a - 1][:t.pos * width] for t in level_loops]
+            keys = [blocks[t.parent - 1][:t.pos * width] for t in level_loops]
         else:
-            keys = [blocks[t.a - 1][(t.pos + 1) * width:] for t in level_loops]
+            keys = [blocks[t.parent - 1][(t.pos + 1) * width:] for t in level_loops]
         groups = {}
         for key, t in zip(keys, level_loops):
             groups.setdefault(key, []).append(t)
         groups.pop(b"", None)
         _merge_blank_class(phi, k, side, registry, budget, merged)
         affixes = sorted(groups)
-        anchors = {}
-
-        def anchored(affix):
-            if affix not in anchors:
-                anchors[affix] = [t.triplet() for t in groups[affix]]
-            return anchors[affix]
-
         for affix in affixes:
             if len(groups[affix]) >= 2:
-                grp = anchored(affix)
+                grp = groups[affix]
                 w = grp[0].p if side == "minus" else invert(grp[0].s)
                 sing = _from_match_groups(phi, k, side, grp[:1], grp[1:], (0, 0, w))
                 merge(phi, registry, sing, budget)
@@ -323,7 +311,7 @@ def _full_level(phi, k, registry, budget, merged):
         )
         for (xi, yi), m in sorted(found.items()):
             sing = _from_match_groups(
-                phi, k, side, anchored(affixes[xi]), anchored(affixes[yi]), m
+                phi, k, side, groups[affixes[xi]], groups[affixes[yi]], m
             )
             merge(phi, registry, sing, budget)
 

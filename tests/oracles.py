@@ -636,9 +636,8 @@ def recompose(phi, chain, budget=None):
         p_parts.append(phi.apply(chain[i].p, i, budget=budget))
     for i in range(k):
         s_parts.append(phi.apply(chain[i].s, i, budget=budget))
-    return Triplet(
-        concat(*p_parts), chain[0].a, concat(*s_parts), k, chain[-1].parent
-    )
+    p = concat(*p_parts)
+    return Triplet(p + (chain[0].a,) + concat(*s_parts), len(p), k, chain[-1].parent)
 
 
 def minimal_phi_power(phi, point, cap=10**6):
@@ -650,9 +649,9 @@ def minimal_phi_power(phi, point, cap=10**6):
         lc = phi.cycle_letters("last")[c]
         lb = phi.cycle_letters("first")[b]
         return math.lcm(lc, lb)
-    key = point.key()
+    dev = point.dev()
     for m in range(1, cap + 1):
-        if apply_phi_power_key(phi, key, m) == key:
+        if _power_dev(phi, dev, m).key() == dev.key():
             return m
     return None
 
@@ -761,16 +760,10 @@ def _shift_once(phi, dev, forward):
     n = max(len(dev.pre), i0 + 1)
     work = [dev.at(i) for i in range(n)]
     t = work[i0]
-    if forward:
-        work[i0] = Triplet(t.p + (t.a,), t.s[0], t.s[1:], 1, t.parent)
-    else:
-        work[i0] = Triplet(t.p[:-1], t.p[-1], (t.a,) + t.s, 1, t.parent)
+    work[i0] = Triplet(t.image, t.pos + (1 if forward else -1), 1, t.parent)
     for i in range(i0 - 1, -1, -1):
         w = phi.images[work[i + 1].a - 1]
-        if forward:
-            work[i] = Triplet(EPSILON, w[0], w[1:], 1, work[i + 1].a)
-        else:
-            work[i] = Triplet(w[:-1], w[-1], EPSILON, 1, work[i + 1].a)
+        work[i] = Triplet(w, 0 if forward else len(w) - 1, 1, work[i + 1].a)
     return canonicalize(Development(tuple(work), _aligned_period(dev, n)))
 
 
@@ -791,7 +784,7 @@ def power_key_by_steps(phi, dev, m):
     for _ in range(m):
         front = dev.at(0).a
         w = phi.images[front - 1]
-        head = Triplet(EPSILON, w[0], w[1:], 1, front)
+        head = Triplet(w, 0, 1, front)
         dev = canonicalize(Development((head,) + dev.pre, dev.per))
     return ("dev",) + dev.key()
 

@@ -434,5 +434,22 @@ def test_verify_truncated_run_still_checks_out(capsys):
     assert "INCOMPLETE" in captured.err
 
 
+def test_rank_one_runs_every_command(tmp_path, capsys):
+    # The identity on one letter has a single loop, blank on both sides, so
+    # no class forms and the index is 0 at the ceiling 2(N-1) = 0.
+    path = _write_map(tmp_path, "letters: a\nmap a = a\ninv a = a\n")
+    assert main(["index", path]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "doubled index: 0" in captured.out.splitlines()
+    assert "complete: yes" in captured.out.splitlines()
+    assert main(["report", path]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fo_index_times_2"] == 0 and doc["complete"] is True
+    assert main(["verify", path]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"PASS {name}" for name in CHECK_NAMES]
+    assert "Traceback" not in captured.err
+
+
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_INVALID, EXIT_TRUNCATED, EXIT_INTERNAL}) == 4

@@ -177,7 +177,7 @@ def test_loop_roundtrip_random(all_runs):
             pool = loops(phi, k)
             for t in rng.sample(pool, min(25, len(pool))):
                 chain = desubstitute(phi, t)
-                assert oracles.recompose(phi, chain) == t.triplet(), (name, k, t)
+                assert oracles.recompose(phi, chain) == t, (name, k, t)
                 done += 1
     assert done >= 200
 
@@ -221,10 +221,10 @@ def test_points_equal_matches_window_comparison(all_runs):
         pool = [p for s in run.result.singularities for p in s.point_list()]
 
         def remake(p, delta):
-            if p.anchor is None:
-                c, b = p.seed
-                return periodic_point(phi, c, b, p.shift + delta)
-            return SymbolicPoint(phi, p.anchor, p.shift + delta, p.seed)
+            if p.kind() == "per":
+                c, b, n = p.per_data()
+                return periodic_point(phi, c, b, n + delta)
+            return SymbolicPoint(phi, p.anchor, p.shift + delta)
 
         variants = list(pool)
         for p in pool[:4]:
@@ -282,7 +282,7 @@ def test_roundtrip_on_drawn_loops(fibonacci, rank4, data):
     t = pool[data.draw(st.integers(min_value=0, max_value=len(pool) - 1))]
     chain = desubstitute(phi, t)
     assert [c.level for c in chain] == [1] * k
-    assert oracles.recompose(phi, chain) == t.triplet()
+    assert oracles.recompose(phi, chain) == t
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,8 @@ from fgindex.errors import UndefinedShift
 from fgindex.prefix_suffix import (
     Development,
     SymbolicPoint,
+    Triplet,
+    _power_dev,
     apply_phi_power_key,
     canonicalize,
     check_chain,
@@ -108,7 +110,7 @@ def test_loop_records_are_the_scan_in_order(name):
     for k in (1, 2, 3):
         got = [(t.p, t.a, t.s, t.level, t.parent) for t in loops(phi, k)]
         assert got == [(p, a, s, k, a) for p, a, s in oracles.loops_scan(phi, k)]
-        assert [t.triplet().body() for t in loops(phi, k)] == [
+        assert [t.body() for t in loops(phi, k)] == [
             (p, a, s) for p, a, s, _, _ in got
         ]
 
@@ -160,7 +162,7 @@ def test_desubstitute_recompose_round_trip(phi):
                 parent = chain[i + 1].a if i + 1 < k else chain[-1].parent
                 assert link.parent == parent
                 assert phi.images[parent - 1] == link.p + (link.a,) + link.s
-            assert oracles.recompose(phi, chain) == t.triplet()
+            assert oracles.recompose(phi, chain) == t
 
 
 def test_recompose_matches_levelwise_images(rank4):
@@ -330,10 +332,14 @@ def test_distinct_shifts_are_distinct_points(phi):
 def test_key_folds_shift_consistently(phi):
     for t in loops(phi, 2)[:4]:
         for shift in (0, 1, -1):
-            for point in complete_for_anchor(phi, t, shift):
-                seed = point.seed
-                moved = SymbolicPoint(phi, t, shift + 1, seed=seed)
-                assert moved.key() == shift_key(phi, point.key(), 1)
+            points = complete_for_anchor(phi, t, shift)
+            moved = complete_for_anchor(phi, t, shift + 1)
+            assert len(moved) == len(points)
+            for point, after in zip(points, moved):
+                if point.kind() == "per":
+                    assert after.key() == shift_key(phi, point.key(), 1)
+                else:
+                    assert after.dev().key() == shift_dev(phi, point.dev(), 1).key()
 
 
 # -- the substitution acting on keys -------------------------------------------------
@@ -342,9 +348,9 @@ def test_key_folds_shift_consistently(phi):
 def test_apply_key_fixes_constant_points_up_to_prefix_shift(phi):
     for k in (1, 2):
         for t in generic_loops(phi, k):
-            key = SymbolicPoint(phi, t, 0).key()
-            moved = apply_phi_power_key(phi, key, k)
-            assert moved == shift_key(phi, key, -len(t.p))
+            dev = SymbolicPoint(phi, t, 0).dev()
+            moved = _power_dev(phi, dev, k)
+            assert moved.key() == shift_dev(phi, dev, -len(t.p)).key()
 
 
 def test_apply_key_on_shifted_periodic_points(rank4):
@@ -523,11 +529,26 @@ def test_shift_matches_one_letter_steps(swept):
 def test_power_matches_one_substitution_steps(swept):
     phi, points = swept
     for p in points:
-        key, dev = p.key(), p.dev()
+        dev = p.dev()
         for m in range(41):
-            assert apply_phi_power_key(phi, key, m) == oracles.power_key_by_steps(
-                phi, dev, m
-            )
+            moved = ("dev",) + _power_dev(phi, dev, m).key()
+            assert moved == oracles.power_key_by_steps(phi, dev, m)
+
+
+def test_triplets_point_into_shared_images(swept):
+    # A loop sits on its level's cached image and a development triplet on
+    # its parent's level-1 image; built from a fresh image, it is equal.
+    phi, points = swept
+    for k in (1, 2, 3):
+        for t in loops(phi, k):
+            assert t.image is phi.letter_image(t.parent, k)
+            rebuilt = oracles.recompose(phi, desubstitute(phi, t))
+            assert rebuilt == t and hash(rebuilt) == hash(t)
+    for p in points:
+        for t in p.dev().pre + p.dev().per:
+            assert t.image is phi.images[t.parent - 1]
+            rebuilt = Triplet(t.p + (t.a,) + t.s, len(t.p), 1, t.parent)
+            assert rebuilt == t and hash(rebuilt) == hash(t)
 
 
 def test_expand_matches_whole_images(swept):
@@ -547,9 +568,8 @@ def test_level_offset_moves_on_drawn_maps(phi):
         assert_shifts_agree(phi, dev, 12)
     for p in points[:6]:
         for m in range(8):
-            assert apply_phi_power_key(phi, p.key(), m) == oracles.power_key_by_steps(
-                phi, p.dev(), m
-            )
+            moved = ("dev",) + _power_dev(phi, p.dev(), m).key()
+            assert moved == oracles.power_key_by_steps(phi, p.dev(), m)
         for d in (1, 2, 7, 20):
             assert p.expand(d) == oracles.expand_by_images(phi, p.dev(), d)
 
