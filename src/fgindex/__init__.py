@@ -1,4 +1,8 @@
-"""Index computation for positive primitive free-group automorphisms."""
+"""Index computation for positive primitive free-group automorphisms.
+
+Records are named tuples or plain classes: start-up is most of a small run,
+and a generated record class compiles its methods again on every import.
+"""
 
 from .automorphism import load_automorphism, parse_automorphism, validate
 from .config import RunConfig

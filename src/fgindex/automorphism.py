@@ -39,7 +39,6 @@ class Automorphism:
         self._img_cache = {}
         self._len_cache = {1: tuple(len(w) for w in self.images)}
         self._occ_cache = {1: self.incidence}
-        self._ray_cache = {}
         self._affix_cache = {}
         self.two_factor_cache = None
         self._cycle_cache = {}
@@ -200,17 +199,16 @@ class Automorphism:
         return self._ray(b, cycle_len, need, head=True)
 
     def _ray(self, x, cycle_len, need, head):
-        key = (head, x, cycle_len)
-        word = self._ray_cache.get(key, (x,))
+        """phi^(cycle_len * t)(x) read through image_affix, t growing until
+        it has `need` letters: no whole image is built or cached."""
+        word, i = (x,), 0
         while len(word) < need:
-            grown = self.apply(word, cycle_len)
+            i += cycle_len
+            grown = self.image_affix(x, i, need, head)
             if len(grown) == len(word):
                 raise CapExceeded("letter images do not grow under iteration")
             word = grown
-            if len(word) > 4 * need:
-                word = word[: 2 * need] if head else word[-2 * need:]
-        self._ray_cache[key] = word
-        return word[:need] if head else word[-need:]
+        return word
 
     def image_affix(self, a, i, r, first):
         """The first r letters of phi^i(a) for a positive letter a, or with

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from collections import namedtuple
 
 from . import sgraph
 from .automorphism import load_automorphism
@@ -28,14 +28,7 @@ EXIT_TRUNCATED = 2
 EXIT_INTERNAL = 3
 
 
-@dataclasses.dataclass
-class Analysis:
-    phi: object
-    result: object
-    graph: object
-    comps: list
-    doubled: int
-    reps: list
+Analysis = namedtuple("Analysis", "phi result graph comps doubled reps")
 
 
 def analyze(phi, config):

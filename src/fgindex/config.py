@@ -13,8 +13,6 @@ so a run's charges do not depend on what ran before on the map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 10**7
@@ -53,19 +51,17 @@ class Budget:
             self.charged[key] = j
 
 
-@dataclass
 class RunConfig:
     """Options for a full sweep.  max_k defaults to 4N - 4 at run time."""
 
-    max_k: int | None = None
-    early_exit: bool = False
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if self.max_k is not None and self.max_k < 1:
+    def __init__(self, max_k=None, early_exit=False, budget=DEFAULT_BUDGET):
+        if max_k is not None and max_k < 1:
             raise ValueError("max_k must be at least 1")
-        if self.budget < MIN_BUDGET:
+        if budget < MIN_BUDGET:
             raise ValueError(f"budget must be at least {MIN_BUDGET}")
+        self.max_k = max_k
+        self.early_exit = early_exit
+        self.budget = budget
 
     def level_cap(self) -> int:
         return max(MIN_BUDGET, self.budget // LEVEL_FRACTION)

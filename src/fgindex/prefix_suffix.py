@@ -10,24 +10,20 @@ side of the development is blank.
 
 from __future__ import annotations
 
-import dataclasses
+from collections import namedtuple
 from itertools import chain, cycle
-from typing import NamedTuple
 
 from .errors import InvariantViolation, UndefinedShift
 from .gamma import encoded_level
-from .words import EPSILON, Word, invert
+from .words import EPSILON, invert
 
 
-class Triplet(NamedTuple):
+class Triplet(namedtuple("Triplet", "image pos level parent")):
     """One decomposition phi^level(parent) = p * a * s, held as the position
     of a in the image: p, a and s are read off the image, which loops and
     level-1 triplets share with phi's caches instead of copying."""
 
-    image: Word
-    pos: int
-    level: int
-    parent: int
+    __slots__ = ()
 
     @property
     def a(self):
@@ -134,12 +130,10 @@ def _split(phi, parent, pos, k):
     return chain
 
 
-@dataclasses.dataclass(frozen=True)
-class Development:
+class Development(namedtuple("Development", "pre per")):
     """Eventually periodic development at level 1: pre, then per repeating."""
 
-    pre: tuple
-    per: tuple
+    __slots__ = ()
 
     def at(self, i):
         if i < len(self.pre):

@@ -9,8 +9,8 @@ counts must agree.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from collections import namedtuple
 
 from .errors import FormulaMismatch, InvariantViolation, VerificationFailed
 from .singularities import (
@@ -21,27 +21,23 @@ from .singularities import (
 from .words import EPSILON, concat, invert, purity, Purity, word_sort_key
 
 
-@dataclasses.dataclass
-class Graph:
-    finite_edges: list
-    infinite_edges: list
-    node_classes: dict
-    claimed: dict
+Graph = namedtuple("Graph", "finite_edges infinite_edges node_classes claimed")
 
 
-@dataclasses.dataclass
 class Component:
     """One connected component, with the spanning tree union-find chose:
     the tree path from the least node to every node, and the non-tree edges,
     each closing one cycle.  `basis` is filled in by the caller."""
 
-    nodes: list
-    edges: list = dataclasses.field(default_factory=list)
-    cycle_rank: int = 0
-    attracting_classes: int = 0
-    paths: dict = dataclasses.field(default_factory=dict)
-    extra: list = dataclasses.field(default_factory=list)
-    basis: list = dataclasses.field(default_factory=list)
+    def __init__(self, nodes, edges=None, cycle_rank=0, attracting_classes=0,
+                 paths=None, extra=None, basis=None):
+        self.nodes = nodes
+        self.edges = [] if edges is None else edges
+        self.cycle_rank = cycle_rank
+        self.attracting_classes = attracting_classes
+        self.paths = {} if paths is None else paths
+        self.extra = [] if extra is None else extra
+        self.basis = [] if basis is None else basis
 
 
 def _orbit_key(point):

@@ -9,8 +9,8 @@ power.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from collections import namedtuple
 
 from .config import resolved_max_k
 from .errors import (
@@ -32,10 +32,8 @@ from .words import EPSILON, Purity, invert, purity, word_sort_key
 FIXING_POWER_CAP = 512
 
 
-@dataclasses.dataclass(frozen=True)
-class Label:
-    w: tuple
-    k: int
+class Label(namedtuple("Label", "w k")):
+    __slots__ = ()
 
     def sort_key(self):
         return (self.k, len(self.w), word_sort_key(self.w))
@@ -184,21 +182,11 @@ def _is_genuine(phi, sing):
     return len(firsts) > 1
 
 
-@dataclasses.dataclass
-class SweepResult:
-    singularities: list
-    complete: bool
-    k_target: int
-    k_reached: int
-    full_levels: list
-    partial_levels: list
-    early_exited: bool
-    max_rho_power: int
-    budget_used: int
-    dropped: int
-    graph: object
-    components: list
-    doubled: int
+SweepResult = namedtuple(
+    "SweepResult",
+    "singularities complete k_target k_reached full_levels partial_levels"
+    " early_exited max_rho_power budget_used dropped graph components doubled",
+)
 
 
 def _inverse_length_bounds(phi, prev):

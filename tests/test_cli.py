@@ -1,6 +1,8 @@
 import io
 import json
 import re
+import subprocess
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -26,7 +28,7 @@ from fgindex.families import cyclic_family
 from fgindex.prefix_suffix import SymbolicPoint
 from fgindex.sgraph import to_dot
 
-from conftest import aut_path
+from conftest import ROOT, aut_path
 from strategies import positive_automorphisms
 
 RANK3 = str(aut_path("rank3"))
@@ -453,3 +455,16 @@ def test_rank_one_runs_every_command(tmp_path, capsys):
 
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_INVALID, EXIT_TRUNCATED, EXIT_INTERNAL}) == 4
+
+
+def test_importing_the_cli_skips_dataclasses_typing_and_inspect():
+    # Start-up is most of a default run; these modules cost more to import
+    # than the sweep of a small map takes.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import fgindex.cli; "
+        "print(*sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from fgindex.cli import analyze
 from fgindex.config import RunConfig
 from fgindex.errors import UndefinedShift
 from fgindex.prefix_suffix import (
@@ -585,3 +586,27 @@ def test_expand_leaves_image_cache_alone(name, max_k):
         fresh.expand(50)
         fresh.window(-30, 30)
     assert phi._img_cache == before
+
+
+@pytest.mark.parametrize("name,cached", [("rank6_cyclic", 24), ("rank14_cyclic", 42)])
+def test_ray_reads_leave_image_cache_alone(name, cached):
+    # Periodic rays are read through image_affix: a window of any width
+    # adds no whole image to the cache the budget charges levels of.
+    phi = fresh_map(name)
+    analysis = analyze(phi, RunConfig())
+    assert len(phi._img_cache) == cached
+    for s in analysis.result.singularities:
+        for p in s.point_list():
+            assert len(p.window(-400, 400)) == 800
+    assert len(phi._img_cache) == cached
+
+
+def test_triplets_and_developments_are_value_records():
+    t = Triplet((1, 2, 3), 1, 1, 2)
+    u = Triplet(image=(1, 2, 3), pos=1, level=1, parent=2)
+    assert t == u and hash(t) == hash(u) == hash(((1, 2, 3), 1, 1, 2))
+    assert repr(t) == "Triplet(image=(1, 2, 3), pos=1, level=1, parent=2)"
+    dev, again = Development((t,), (u,)), Development(pre=(u,), per=(t,))
+    assert dev == again and hash(dev) == hash(again) == hash(((t,), (u,)))
+    assert repr(dev) == f"Development(pre=({t!r},), per=({t!r},))"
+    assert Development((), (t,)) != dev

@@ -35,6 +35,29 @@ from strategies import positive_automorphisms
 import oracles
 
 
+# -- records ---------------------------------------------------------------------
+
+
+def test_label_is_a_value_record():
+    w = (1, -2)
+    assert Label(w, 3) == Label(w=(1, -2), k=3)
+    assert hash(Label(w, 3)) == hash(Label(w=(1, -2), k=3)) == hash((w, 3))
+    assert Label(w, 3) != Label(w, 4)
+    assert repr(Label((1, 2), 3)) == "Label(w=(1, 2), k=3)"
+
+
+def test_run_config_checks_its_options():
+    assert vars(RunConfig()) == {
+        "max_k": None, "early_exit": False, "budget": DEFAULT_BUDGET
+    }
+    config = RunConfig(7, True, MIN_BUDGET)
+    assert (config.max_k, config.early_exit, config.budget) == (7, True, MIN_BUDGET)
+    with pytest.raises(ValueError):
+        RunConfig(max_k=0)
+    with pytest.raises(ValueError):
+        RunConfig(budget=MIN_BUDGET - 1)
+
+
 # -- label compatibility --------------------------------------------------------
 
 
