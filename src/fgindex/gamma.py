@@ -207,33 +207,24 @@ def gamma_bound(phi, k, side, budget):
     preimage, held as a stack of inverse-block slices, serves both (see
     _overhangs).  The first call at a level runs the walk and keeps both
     values on phi's _InverseBlocks; a later call at that level reads its
-    side's value there.  Every call charges the budget only for its own
-    side, before any walk, and exactly what a scan of that side's affixes
-    pushing one block per position costs: in letter order, the image of
-    each letter, the levels of the inverse blocks its scanned positions read
-    that this budget has not been charged for (Budget.charge_levels, key -c
-    for phi^-j(c)), then one block per position.
+    side's value there.  Every call charges the budget, before any walk, for
+    the words its own side reads: in letter order, the image of each letter,
+    then the levels of the inverse blocks of its scanned letters that this
+    budget has not been charged for (Budget.charge_levels, key -c for
+    phi^-j(c)).
     """
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
     plus = side == "plus"
     inverse = _inverse_blocks(phi)
-    occ, sizes = phi.occurrence_matrix(k), {}
     for a in phi.alphabet.letters():
         image = phi.letter_image(a, k, budget)
-        # Each block is read where the scan first meets its letter, so the
-        # reads charge in scan order: plus scans image[:-1] left to right,
-        # minus image[1:] right to left; the counts are occ's less skip's.
-        scanned = dict.fromkeys(image[:-1] if plus else image[:0:-1])
-        for c in scanned:
-            if c not in sizes:
-                budget.charge_levels(
-                    -c, k, lambda j: len(inverse.block(c, j)[0]) // inverse.width
-                )
-                sizes[c] = len(inverse.block(c, k)[0])
-        skip = image[-1] if plus else image[0]
-        size = sum((occ[c - 1][a - 1] - (c == skip)) * sizes[c] for c in scanned)
-        budget.charge(size // inverse.width)
+        # Blocks charge in scan order: plus scans image[:-1] left to right,
+        # minus image[1:] right to left.
+        for c in dict.fromkeys(image[:-1] if plus else image[:0:-1]):
+            budget.charge_levels(
+                -c, k, lambda j: len(inverse.block(c, j)[0]) // inverse.width
+            )
     bounds = inverse.bounds.get(k)
     if bounds is None:
         bounds = inverse.bounds[k] = _overhangs(phi, k, inverse)

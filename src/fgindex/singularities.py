@@ -206,6 +206,8 @@ def _level_estimate(phi, k, inv_bounds):
     every letter occurs in some image (primitivity), and the inverse bounds
     are non-decreasing by induction, since no inverse image is empty.
     stream, the loop term, can fall: the trace of M^k need not be monotone.
+    floor's block term is the gate's cost proxy, not what gamma_bound
+    charges the budget; it stays until the gate itself is replaced.
     """
     lens = phi.image_lengths(k)
     occ = phi.occurrence_matrix(k)

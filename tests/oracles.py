@@ -209,8 +209,9 @@ def inverse_letter_image(phi, a, k, budget=None):
 def gamma_bound_by_letters(phi, k, side, budget=None):
     """gamma_bound with every preimage letter pushed through a deque.
 
-    Same scan, same image calls and same budget charges as
-    fgindex.gamma.gamma_bound, so both values and Budget.used must agree.
+    Same scan and same image calls as fgindex.gamma.gamma_bound, and the
+    same budget charges: the images, and the inverse blocks of the side's
+    scanned letters.  So both values and Budget.used must agree.
     """
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
@@ -224,8 +225,6 @@ def gamma_bound_by_letters(phi, k, side, budget=None):
             order = range(0, len(image) - 1)
         for pos in order:
             block = inverse_letter_image(phi, image[pos], k, budget)
-            if budget is not None:
-                budget.charge(len(block))
             if side == "minus":
                 for y in reversed(block):
                     tracker.push_left(y)

@@ -368,7 +368,7 @@ def _assert_calls_match_letter_reference(phi, ref, calls):
     """gamma_bound on phi against the reference on its twin ref, over the
     (level, side) calls in turn: each call's value and charges.  A later
     side at a level reads the bounds the first stored, and must still charge
-    what its own scan would."""
+    the images, and the inverse blocks of its side's scanned letters."""
     for k, side in calls:
         used, ref_used = Budget(10**12), Budget(10**12)
         assert gamma_bound(phi, k, side, used) == (
@@ -402,6 +402,51 @@ def test_gamma_bound_matches_letter_reference_at_wide_ranks(rank):
         _assert_calls_match_letter_reference(
             cyclic_family(rank), cyclic_family(rank), calls
         )
+
+
+def _assert_charges_what_it_reads(fresh, k):
+    """Both sides at level k, in either order, on one fresh map and one
+    budget, charge each level j <= k of every image phi^j(a) once, and of
+    every inverse block phi^-j(c) once, c running over the letters either
+    side scans: image[:-1] for plus, image[1:] for minus.  Nothing is
+    charged for the walk, and a repeated call on either side charges 0."""
+    ref = fresh()
+    letters, levels = ref.alphabet.letters(), range(1, k + 1)
+    images = [ref.letter_image(a, k) for a in letters]
+    scanned = {c for image in images for c in image[:-1] + image[1:]}
+    want = sum(len(ref.letter_image(a, j)) for a in letters for j in levels)
+    want += sum(
+        len(oracles.inverse_letter_image(ref, c, j)) for c in scanned for j in levels
+    )
+    for order in (SIDES, SIDES[::-1]):
+        phi, budget = fresh(), unlimited()
+        for side in order:
+            gamma_bound(phi, k, side, budget)
+        assert budget.used == want
+        for side in SIDES:
+            gamma_bound(phi, k, side, budget)
+            assert budget.used == want
+
+
+@pytest.mark.parametrize(
+    "name", ["rank3", "rank4", "fibonacci", "rank6_cyclic", "rank14_cyclic"]
+)
+def test_gamma_bound_charges_what_it_reads(name):
+    for k in range(1, 5):
+        _assert_charges_what_it_reads(lambda: fresh_map(name), k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms())
+def test_gamma_bound_charges_what_it_reads_on_drawn_automorphisms(phi):
+    def fresh():
+        return validate(phi.alphabet, phi.images, phi.inverse_images)
+
+    for k in (1, 2, 3, 4):
+        # Keep each draw well under a second.
+        if max(phi.image_lengths(k)) > 2000:
+            break
+        _assert_charges_what_it_reads(fresh, k)
 
 
 @st.composite

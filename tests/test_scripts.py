@@ -77,7 +77,7 @@ def _assert_forced_levels_charge_the_frozen_letters(name, top):
 
 
 def test_forced_levels_charge_the_frozen_letters():
-    # rank6_cyclic's levels are nearly all gamma_bound letters.
+    # rank6_cyclic's deep levels are mostly gamma_bound letters.
     _assert_forced_levels_charge_the_frozen_letters("rank6_cyclic", 10)
 
 

@@ -601,9 +601,10 @@ def test_gate_tables_requested_out_of_order():
 @pytest.mark.parametrize(
     "name, full_levels, budget_used, doubled",
     [
-        ("rank14_cyclic", [1, 2, 3], 11693, 15),
-        ("rank6_cyclic", [1, 2, 3, 4], 37938, 9),
+        ("rank14_cyclic", [1, 2, 3], 9188, 15),
+        ("rank6_cyclic", [1, 2, 3, 4], 4265, 9),
     ],
+    ids=["rank14_cyclic", "rank6_cyclic"],
 )
 def test_gate_decisions_at_level_600_are_frozen(name, full_levels, budget_used, doubled):
     a = analyze(load_automorphism(aut_path(name)), RunConfig(max_k=600))
@@ -611,6 +612,21 @@ def test_gate_decisions_at_level_600_are_frozen(name, full_levels, budget_used, 
     assert a.result.partial_levels == list(range(len(full_levels) + 1, 601))
     assert a.result.budget_used == budget_used
     assert a.doubled == doubled
+
+
+def test_level_four_fits_once_gamma_bound_charges_only_what_it_reads():
+    # Level 4's estimate is 9654 letters.  At budget 10^4 the gate weighs it
+    # against what levels 1-3 left: 10^4 - 247 = 9753 now, so level 4 runs in
+    # full.  When gamma_bound also charged one inverse block per scanned
+    # position, levels 1-3 used 620, left 9380, and level 4 ran blank-only.
+    phi = validate(
+        Alphabet(["x0", "x1", "x2", "x3"]),
+        ((4, 3), (1, 3), (2,), (3, 1, 3)),
+        ((2, 2, -4), (3,), (4, -2), (1, 2, -4)),
+    )
+    result = find_all(phi, RunConfig(budget=10**4))
+    assert result.full_levels == [1, 2, 3, 4]
+    assert (result.doubled, result.complete) == (5, False)
 
 
 def _price_every_level(phi, k, inv_bounds):
@@ -775,9 +791,9 @@ def test_sweep_cost_does_not_grow_with_max_k(name, monkeypatch):
 @pytest.mark.parametrize(
     "source, config, top, budget_used, doubled",
     [
-        ("rank14_cyclic", RunConfig(max_k=5, budget=10**12), 5, 1149723, 8),
-        ("rank6_cyclic", RunConfig(max_k=7, budget=10**12), 7, 15193429, 9),
-        (9, RunConfig(), 24, 372045, 16),
+        ("rank14_cyclic", RunConfig(max_k=5, budget=10**12), 5, 1065310, 8),
+        ("rank6_cyclic", RunConfig(max_k=7, budget=10**12), 7, 177143, 9),
+        (9, RunConfig(), 24, 315718, 16),
     ],
     ids=["rank14_cyclic-k5", "rank6_cyclic-k7", "family9"],
 )
