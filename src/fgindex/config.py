@@ -5,6 +5,7 @@ truncation guard, not a correctness condition: when it runs out the sweep
 stops early and reports itself incomplete.  Reading letters already charged
 is free: a peel check reads stream bytes whose growth was charged, so the
 charges of a level do not depend on which streams the star search visits.
+A stream charges each growth in one sum, once the blocks are appended.
 
 The images phi^j(a) and inverse blocks phi^-j(c) cached on the map are
 charged once per budget and level (Budget.charge_levels), whoever built them,

@@ -211,20 +211,26 @@ def gamma_bound(phi, k, side, budget):
     the words its own side reads: in letter order, the image of each letter,
     then the levels of the inverse blocks of its scanned letters that this
     budget has not been charged for (Budget.charge_levels, key -c for
-    phi^-j(c)).
+    phi^-j(c)), each once per call; once every letter has been scanned, no
+    later image is.
     """
     if side not in ("minus", "plus"):
         raise ValueError(f"bad side {side!r}")
     plus = side == "plus"
     inverse = _inverse_blocks(phi)
+    scanned = set()
     for a in phi.alphabet.letters():
         image = phi.letter_image(a, k, budget)
+        if len(scanned) == phi.rank:
+            continue
         # Blocks charge in scan order: plus scans image[:-1] left to right,
         # minus image[1:] right to left.
         for c in dict.fromkeys(image[:-1] if plus else image[:0:-1]):
-            budget.charge_levels(
-                -c, k, lambda j: len(inverse.block(c, j)[0]) // inverse.width
-            )
+            if c not in scanned:
+                scanned.add(c)
+                budget.charge_levels(
+                    -c, k, lambda j: len(inverse.block(c, j)[0]) // inverse.width
+                )
     bounds = inverse.bounds.get(k)
     if bounds is None:
         bounds = inverse.bounds[k] = _overhangs(phi, k, inverse)
@@ -265,8 +271,10 @@ def _overhangs(phi, k, inverse):
     sign runs (4 standing for 4 or more), the byte lengths of its first and
     last runs, and its first letter.  A push cancels whole slices off the
     top, cuts the one it stops in, and puts the block's uncancelled tail on
-    top; against a whole tail of a block, the cancellation is read from a
-    table of block-pair overlaps, so only the slices below are searched.
+    top.  Each cancellation is read from a table kept for the walk, keyed
+    by (letter of the slice's block, slice end, c, position in c's inverse
+    block), which holds the overlap capped only by those two ends: each
+    pair of ends is compared once, however many prefixes push it.
 
     The images are walked in sorted order, each resuming from its common
     prefix with the one before it: the node at each depth where a later
@@ -327,16 +335,12 @@ def _overhangs(phi, k, inverse):
             n = (span if span < pos else pos) // width
             if blk[end - 1] != inv[pos - 1]:
                 m = 0  # the last letters differ in their last bytes
-            elif pos < size or end < len(blk):
-                m = _common_suffix(blk, end, inv, pos, n, width)
             else:
-                # A whole tail of a block against all of c's: the overlap
-                # of the two whole blocks decides, read from the table.
-                key = node[9], c
+                key = node[9], end, c, pos
                 m = overlaps.get(key)
                 if m is None:
-                    most = (end if end < size else size) // width
-                    m = overlaps[key] = _common_suffix(blk, end, inv, size, most, width)
+                    most = (end if end < pos else pos) // width
+                    m = overlaps[key] = _common_suffix(blk, end, inv, pos, most, width)
                 m = m if m < n else n
             pos -= m * width
             if m * width < span:
@@ -488,17 +492,17 @@ class Stream:
 
     def _grow(self, steps, bound):
         """Rotate until there are at least steps steps and the newest window
-        is longer than bound, charging each block before appending it."""
+        is longer than bound, then charge what was appended, in one sum."""
         table, data, lens, w = self.table, self.data, self.lens, self.width
-        charge = self.budget.charge
-        t = len(lens) - 1
+        t, size = len(lens) - 1, len(data)
         while t < steps or lens[t] <= bound:
             code = data[t] if w == 1 else int.from_bytes(data[t * w:(t + 1) * w], "big")
             _, blk, n = table[code]
-            charge(n)
             data += blk
             lens.append(lens[t] - 1 + n)
             t += 1
+        if len(data) > size:
+            self.budget.charge((len(data) - size) // w)
 
     def peek_len(self, i):
         """The length of window i, read off the stored letters 0 .. i - 1
@@ -512,12 +516,10 @@ class Stream:
 
     def last_key(self):
         """(length, CRC-32 of the bytes) of the newest window, which runs to
-        the end of the stored bytes, read in place through a view released
-        before returning.  Equal windows share a key; it only proposes a
-        pair, and window_equal decides."""
+        the end of the stored bytes.  Equal windows share a key; it only
+        proposes a pair, and window_equal decides."""
         n = self.lens[-1]
-        with memoryview(self.data) as view:
-            return n, zlib.crc32(view[len(view) - n * self.width:])
+        return n, zlib.crc32(self.data[len(self.data) - n * self.width:])
 
     def window_equal(self, i, other, j):
         n = self.lens[i]
@@ -541,68 +543,69 @@ def _peelable(stream, i, depth_needed, ends):
 
     Any parse counts.  The one the rotation appended is tried first: the
     block of step t ends at letter t + lens[t], and the i - t blocks after it
-    lie in window i when that is at least i.  Otherwise every parse is
-    searched, over letter-aligned byte offsets.  The byte lengths of the
-    blocks ending at an offset, shortest first, are found by walking the
-    suffix trie back from it (the block table builds it on the first such
-    search); endswith compares in place, and a block that
-    fails stops the walk, since every block below it in the trie ends with
-    it.  ends keeps them by offset: the stream only appends, so they hold for
-    every later window, which takes the ones that stay inside it.
+    lie in window i when that is at least i.  Otherwise the parses are
+    searched depth first, over letter-aligned byte offsets.  Each offset
+    keeps the fewest blocks still needed by a parse that reached it, and
+    one that reaches it needing as many or more is dropped: whatever it
+    could peel, the earlier one peels too.  The byte lengths of the blocks
+    ending at an offset, shortest first, are found by walking the suffix
+    trie back from it (the block table builds it on the first such search);
+    endswith compares in place, and a block that fails stops the walk, since
+    every block below it in the trie ends with it.  ends keeps them by
+    offset: the stream only appends, so they hold for every later window,
+    which takes the ones that stay inside it.
     """
     t = i - depth_needed - 1
     if t >= 0 and stream.lens[t] > depth_needed:
         return True
-    data = stream.data
-    start = i * stream.width
+    data, start = stream.data, i * stream.width
     end = start + stream.lens[i] * stream.width
-    reached = {end: 0}
-    frontier = [end]
-    while frontier:
-        new_frontier = []
-        for pos in frontier:
-            depth = reached[pos] + 1
-            lengths = ends.get(pos)
-            if lengths is None:
-                lengths = ends[pos] = []
-                node = stream.blocks.trie
-                while node is not None:
-                    n, blk, children = node
-                    if blk is not None:
-                        if not data.endswith(blk, 0, pos):
-                            break
-                        lengths.append(n)
-                    if pos <= n:
+    stack, fewest = [(end, depth_needed + 1)], {}
+    while stack:
+        pos, need = stack.pop()  # need: the blocks still to peel off pos
+        lengths = ends.get(pos)
+        if lengths is None:
+            lengths = ends[pos] = []
+            node = stream.blocks.trie
+            while node is not None:
+                n, blk, children = node
+                if blk is not None:
+                    if not data.endswith(blk, 0, pos):
                         break
-                    node = children.get(data[pos - n - 1])
-            for n in lengths:
-                nxt = pos - n
-                if nxt < start:
+                    lengths.append(n)
+                if pos <= n:
                     break
-                if reached.get(nxt, -1) < depth:
-                    reached[nxt] = depth
-                    if depth > depth_needed:
-                        return True
-                    new_frontier.append(nxt)
-        frontier = new_frontier
+                node = children.get(data[pos - n - 1])
+        for n in lengths:
+            nxt = pos - n
+            if nxt < start:
+                break
+            if need == 1:
+                return True
+            if fewest.get(nxt, inf) >= need:
+                fewest[nxt] = need - 1
+                stack.append((nxt, need - 1))
     return False
 
 
-def star_index(stream, g, horizon=0):
+def star_index(stream, g, horizon=0, bound=None):
     """Smallest positive step whose window peels deeper than g, or None if
     that window is no longer than horizon.  Peeling is monotone in the step:
     a chain of more than g blocks ending window i, less its first block,
     plus the block of step i, ends window i + 1.  So once the stream is
     grown past horizon, a check of the last window within it (none past
-    _STAR_CAP) settles the star there or starts the search after it.  The
-    block ends found are kept for this search only.  Growing the stream is
-    charged; a peel check is not, since it reads only grown bytes."""
+    _STAR_CAP) settles the star there or starts the search after it, which
+    takes a step bound proved to peel without a check.  The block ends
+    found are kept for this search only.  Growing the stream is charged; a
+    peel check is not, since it reads only grown bytes."""
     stream.ensure_len(horizon)
     ends = {}
     last = min(bisect_right(stream.lens, horizon) - 1, _STAR_CAP)
     if last > 0 and _peelable(stream, last, g, ends):
         return None
     for i in range(max(last, 0) + 1, _STAR_CAP + 1):
+        if i == bound:
+            return i
         stream.ensure_steps(i)
         if _peelable(stream, i, g, ends):
             return i
@@ -619,30 +622,35 @@ def _first_longer(stream, bound):
 
 
 def _horizon(streams, g):
-    """(horizon, stars): the longest star window of the streams, and the
-    star index of each stream that raised it, None for the others.
+    """(horizon, stars, bounds): the longest star window of the streams,
+    the star index of each stream that raised it, None for the others, and
+    a step that peels deeper than g for each stream.
 
     Each stream visited is settled by star_index against the horizon so
-    far.  An affix longer than g peels its natural parse deeper than g at
-    step g + 1, so its star window is at most its window g + 1, a cap read
-    off the affix.  The uncapped streams go first, then the capped ones by
-    falling cap while a cap beats the horizon, a tier of equal caps at a
-    time, so that the streams visited do not depend on their order.  Past
-    _STAR_CAP nothing is capped, so CapExceeded still fires.
+    far, and one that does not raise it peels at its last window within it.
+    An affix longer than g peels its natural parse deeper than g at step
+    g + 1, its bound until visited, so its star window is at most its window
+    g + 1, a cap read off the affix.  The uncapped streams go first, then
+    the capped ones by falling cap while a cap beats the horizon, a tier of
+    equal caps at a time, so that the streams visited do not depend on their
+    order.  Past _STAR_CAP nothing is capped, so CapExceeded still fires.
     """
     tiers = {}
     for idx, s in enumerate(streams):
         capped = s.lens[0] > g and g < _STAR_CAP
         tiers.setdefault(s.peek_len(g + 1) if capped else inf, []).append(idx)
-    stars, horizon = [None] * len(streams), 0
+    stars, bounds, horizon = [None] * len(streams), [g + 1] * len(streams), 0
     for cap in sorted(tiers, reverse=True):
         if cap <= horizon:
             break
         for idx in tiers[cap]:
-            stars[idx] = star_index(streams[idx], g, horizon)
-            if stars[idx] is not None:
-                horizon = streams[idx].lens[stars[idx]]
-    return horizon, stars
+            s = streams[idx]
+            stars[idx] = star_index(s, g, horizon)
+            if stars[idx] is None:
+                bounds[idx] = bisect_right(s.lens, horizon) - 1
+            else:
+                horizon = s.lens[stars[idx]]
+    return horizon, stars, bounds
 
 
 def all_matches(phi, k, side, starts, budget):
@@ -655,9 +663,9 @@ def all_matches(phi, k, side, starts, budget):
     more than growing each stream to the common horizon, the longest star
     window.  Only the streams that raise the horizon are searched for their
     stars (see _horizon), and a matched pair's unsearched stars, uncharged,
-    for its cutoff box.  Returns {(xi, yi): (i, j, w)} indexed by positions
-    in starts, with w the common rotation value as a label word: reversed
-    on the minus side, inverted on the plus side.
+    below their bounds, for its cutoff box.  Returns {(xi, yi): (i, j, w)}
+    indexed by positions in starts, with w the common rotation value as a
+    label word: reversed on the minus side, inverted on the plus side.
     """
     if any(n == 0 for _, n in starts):
         raise ValueError("empty affixes are matched separately")
@@ -666,7 +674,7 @@ def all_matches(phi, k, side, starts, budget):
     g = gamma_bound(phi, k, side, budget)  # charges the images the table reads
     table = _block_table(phi, k, side)
     streams = [Stream(table, a, n, budget) for a, n in starts]
-    horizon, stars = _horizon(streams, g)
+    horizon, stars, bounds = _horizon(streams, g)
     for s in streams:
         s.ensure_len(horizon)
     # Rotation is deterministic, so once windows x_i and y_j are equal so
@@ -701,7 +709,7 @@ def all_matches(phi, k, side, starts, budget):
         # the stream has grown past: finding it now grows nothing.
         for idx in (xi, yi):
             if stars[idx] is None:
-                stars[idx] = star_index(streams[idx], g)
+                stars[idx] = star_index(streams[idx], g, 0, bounds[idx])
         lx, ly = sx.lens[stars[xi]], sy.lens[stars[yi]]
         i0 = stars[xi] if lx > ly else _first_longer(sx, max(lx, ly))
         j0 = stars[yi] if ly > lx else _first_longer(sy, max(lx, ly))

@@ -260,6 +260,22 @@ def gamma_bound_by_letters(phi, k, side, budget=None):
     return best
 
 
+def gamma_bound_charges_per_image(phi, k, side, budget):
+    """The charges of gamma_bound made the way it first made them: every
+    image, in letter order, then Budget.charge_levels for each distinct
+    letter of that image's scanned positions, in scan order, on every image.
+    A key already charged to level k charges nothing, so gamma_bound, which
+    charges each block once per call, must make the same charges in the
+    same order."""
+    for a in phi.alphabet.letters():
+        image = phi.letter_image(a, k, budget)
+        scan = image[:-1] if side == "plus" else image[:0:-1]
+        for c in dict.fromkeys(scan):
+            budget.charge_levels(
+                -c, k, lambda j: len(inverse_letter_image(phi, c, j))
+            )
+
+
 _POSITIVE_BYTES, _NEGATIVE_BYTES = bytes(range(128, 256)), bytes(range(128))
 
 

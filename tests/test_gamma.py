@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fgindex.gamma
+from fgindex import singularities
 from fgindex.automorphism import validate
-from fgindex.config import Budget
+from fgindex.config import Budget, RunConfig
 from fgindex.errors import BudgetExceeded, CapExceeded, InvariantViolation
 from fgindex.families import cyclic_family
 from fgindex.gamma import (
@@ -97,6 +98,23 @@ def word_at(stream, i, side):
     minus side."""
     word = stream.word_at(i)
     return word if side == "plus" else word[::-1]
+
+
+class RecordingBudget(Budget):
+    """An unlimited budget that records the amount of each charge and the
+    key of each charge_levels call."""
+
+    def __init__(self, limit=10**15):
+        super().__init__(limit)
+        self.amounts, self.keys = [], []
+
+    def charge(self, n):
+        self.amounts.append(n)
+        super().charge(n)
+
+    def charge_levels(self, key, k, size):
+        self.keys.append(key)
+        super().charge_levels(key, k, size)
 
 
 def pair_match(phi, k, side, x, y, budget=None):
@@ -243,8 +261,8 @@ def test_hash_collisions_cannot_change_a_match(phi, monkeypatch):
 
 
 def test_last_key_releases_the_stream_bytes(rank4):
-    # last_key reads the bytes through a memoryview; a view still held
-    # would make growing the stream raise BufferError.
+    # A key taken earlier stays the key of its window after the stream
+    # grows, and growing after last_key raises no BufferError.
     for side in SIDES:
         for _, start in starts(rank4, 2, side):
             s = stream(rank4, 2, side, start)
@@ -256,6 +274,55 @@ def test_last_key_releases_the_stream_bytes(rank4):
             for i, key in keys.items():
                 window = bytes(s.data[i * w:(i + s.lens[i]) * w])
                 assert key == (s.lens[i], zlib.crc32(window))
+
+
+def test_stream_growth_charges_what_it_appends_in_one_call():
+    # One-byte letters, and two-byte letters from rank 129 on.
+    grown = 0
+    for name, k in (("rank3", 2), ("rank14_cyclic", 2), ("family129", 130)):
+        phi = fresh_map(name)
+        for side in SIDES:
+            table = _block_table(phi, k, side)
+            for _, (a, n) in starts(phi, k, side)[:6]:
+                budget = RecordingBudget()
+                s = Stream(table, a, n, budget)
+                for steps, bound in ((3, 0), (3, 0), (0, 3 * s.lens[-1]), (1, 0)):
+                    size = len(s.data)
+                    budget.amounts.clear()
+                    s._grow(steps, bound)
+                    appended = (len(s.data) - size) // s.width
+                    assert budget.amounts == ([appended] if appended else [])
+                    grown += appended > 0
+    assert grown
+
+
+def test_budget_running_out_in_stream_growth_leaves_the_level_partial(monkeypatch):
+    # With every level priced at nothing, cyclic_family(5) runs levels 1-11
+    # in full at budget 10^4 and runs out while growing a stream at level
+    # 12.  Growth charges after it appends; the exception must still leave
+    # all_matches, and the level and every later one must be partial.
+    raised = []
+
+    def watched(name, inner):
+        def call(*args):
+            try:
+                return inner(*args)
+            except BudgetExceeded:
+                raised.append(name)
+                raise
+
+        return call
+
+    monkeypatch.setattr(Stream, "_grow", watched("grow", Stream._grow))
+    monkeypatch.setattr(
+        singularities, "all_matches", watched("all_matches", all_matches)
+    )
+    monkeypatch.setattr(singularities, "_level_estimate", lambda *args: (0, 0))
+    result = singularities.find_all(cyclic_family(5), RunConfig(budget=10**4))
+    assert raised[:2] == ["grow", "all_matches"]
+    assert result.full_levels == list(range(1, 12))
+    assert result.partial_levels == list(range(12, 17))
+    assert result.budget_used == 10**4
 
 
 def test_stream_window_equal_is_word_equality(rank3):
@@ -449,6 +516,44 @@ def test_gamma_bound_charges_what_it_reads_on_drawn_automorphisms(phi):
         _assert_charges_what_it_reads(fresh, k)
 
 
+def _assert_charges_each_block_once_in_the_old_order(phi, ref, calls):
+    """gamma_bound on phi over the (level, side) calls in turn, against the
+    per-image charging loop on its twin ref: each call makes at most one
+    charge_levels call per key, and the charges agree in amount and order."""
+    got, want = RecordingBudget(), RecordingBudget()
+    for k, side in calls:
+        got.keys.clear()
+        gamma_bound(phi, k, side, got)
+        assert len(got.keys) == len(set(got.keys)), (k, side)
+        oracles.gamma_bound_charges_per_image(ref, k, side, want)
+    assert got.amounts == want.amounts
+    return len(want.keys) - len(set(want.keys))
+
+
+def test_gamma_bound_charges_each_block_once_per_call():
+    # The per-image loop asks again for blocks it charged on an earlier
+    # image of the same call; gamma_bound asks once, and charges alike.
+    repeats = 0
+    for name, top in REFERENCE_LEVELS:
+        for order in ORDERS:
+            calls = [(k, side) for k in range(1, top + 1) for side in order]
+            repeats += _assert_charges_each_block_once_in_the_old_order(
+                fresh_map(name), fresh_map(name), calls
+            )
+    assert repeats
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms())
+def test_gamma_bound_charges_each_block_once_per_call_on_drawn_automorphisms(phi):
+    calls = []
+    for k in (1, 2, 3, 4):
+        if max(phi.image_lengths(k)) > 2000:
+            break
+        calls += [(k, side) for side in SIDES]
+    _assert_charges_each_block_once_in_the_old_order(twin(phi), twin(phi), calls)
+
+
 @st.composite
 def words_and_blocks(draw):
     """A reduced word and reduced blocks, each cancelling a drawn suffix of
@@ -565,6 +670,43 @@ def test_overhangs_match_the_flat_walk_on_drawn_automorphisms(phi):
         _assert_walk_matches_flat_walk(phi, (k,))
 
 
+def _walk_comparisons(phi, k):
+    """The pairs of ends that level k's walk compares with _common_suffix,
+    one per call: (slice's block, slice end, inverse block, position in
+    it), blocks by identity.  The inverse blocks are built first, so that
+    only the walk's calls are counted."""
+    inverse = fgindex.gamma._inverse_blocks(phi)
+    for c in phi.alphabet.letters():
+        inverse.block(c, k)
+    real, keys = fgindex.gamma._common_suffix, []
+
+    def counted(x, end, y, size, n, width):
+        keys.append((id(x), end, id(y), size))
+        return real(x, end, y, size, n, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fgindex.gamma, "_common_suffix", counted)
+        fgindex.gamma._overhangs(phi, k, inverse)
+    return keys
+
+
+def test_walk_compares_each_pair_of_ends_once():
+    # rank6_cyclic's blocks are self-similar: at level 10 the pushes meet
+    # the same pairs of ends again and again, and read them from the table.
+    keys = _walk_comparisons(fresh_map("rank6_cyclic"), 10)
+    assert keys and len(keys) == len(set(keys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms())
+def test_walk_compares_each_pair_of_ends_once_on_drawn_automorphisms(phi):
+    for k in (1, 2, 3, 4):
+        if max(phi.image_lengths(k)) > 2000:
+            break
+        keys = _walk_comparisons(phi, k)
+        assert len(keys) == len(set(keys)), k
+
+
 def _assert_reversal_swaps_the_sides(phi, levels):
     """gamma_bound of tau phi tau on each side is phi's on the other: with
     every image reversed, the prefixes of the images are the reversed
@@ -663,7 +805,9 @@ def _assert_one_check_settles_each_stream(phi, k_max=3):
     past the star index; star_index against a horizon h returns None
     exactly when the star window is no longer than h, and the star index
     otherwise; and _horizon's horizon is the longest star window of all
-    the streams, searched one by one, with every star it returns exact."""
+    the streams, searched one by one, with every star it returns exact and
+    every bound it returns for the others a step at or past the star, from
+    which star_index finds the star."""
     for k in range(1, k_max + 1):
         for side in SIDES:
             g = gamma_bound(phi, k, side, unlimited())
@@ -686,9 +830,15 @@ def _assert_one_check_settles_each_stream(phi, k_max=3):
                     want = None if s.lens[star] <= h else star
                     assert star_index(fresh, g, h) == want
             streams = [Stream(table, a, n, unlimited()) for a, n in xs]
-            horizon, got = _horizon(streams, g)
+            horizon, got, bounds = _horizon(streams, g)
             assert horizon == max(windows)
             assert all(i is None or i == star for i, star in zip(got, stars))
+            for i, bound, star, (a, n) in zip(got, bounds, stars, xs):
+                if i is None:
+                    assert star <= bound
+                    fresh = Stream(table, a, n, unlimited())
+                    fresh.ensure_steps(bound)
+                    assert star_index(fresh, g, 0, bound) == star
 
 
 @pytest.mark.parametrize(
