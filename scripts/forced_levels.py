@@ -3,14 +3,16 @@
 
 Each level is one full-mode level of the sweep, with no level gate, on one
 fresh map and one letter budget of 10^14 for the whole run, so later levels
-reuse the images and inverse blocks the earlier ones built.  One row per
-level: its wall time, the wall time of its two gamma_bound calls and of its
-star_index calls (the stream layer's peel search up to each star index), the
-letters it charged (all of them, and gamma_bound's alone), the doubled index
-of the classes found so far, the peak RSS of the process so far, and the
-number of windows the peel search checked (one _peelable call each): one
-per stream visited for the horizon, plus the search on of each stream that
-raises it, plus the searches of matched streams for their cutoff boxes.
+reuse the images and inverse blocks the earlier ones built.  As in the
+sweep, each level merges its blank-affix classes on the schedule built once
+for the map, then runs its nonblank affixes in full.  One row per level: its
+wall time, the wall time of its two gamma_bound calls and of its star_index
+calls (the stream layer's peel search up to each star index), the letters it
+charged (all of them, and gamma_bound's alone), the doubled index of the
+classes found so far, the peak RSS of the process so far, and the number of
+windows the peel search checked (one _peelable call each): one per stream
+visited for the horizon, plus the further search of each stream that raises
+it, plus the searches of matched streams for their cutoff boxes.
 
     python scripts/forced_levels.py rank6_cyclic 9
     python scripts/forced_levels.py path/to/map.aut 5
@@ -25,7 +27,7 @@ from pathlib import Path
 from fgindex import gamma
 from fgindex.automorphism import load_automorphism
 from fgindex.config import Budget
-from fgindex.singularities import _full_level, _staged
+from fgindex.singularities import _blank_schedule, _eps_level, _full_level, _staged
 
 AUT_DIR = Path(__file__).resolve().parents[1] / "automorphisms"
 HEADER = (
@@ -69,7 +71,7 @@ def _peak_rss_mib():
 def forced_levels(phi, top):
     """Yield one row per level 1..top, as HEADER names them."""
     budget, registry = Budget(10**14), []
-    merged = {"minus": set(), "plus": set()}
+    schedule = _blank_schedule(phi)
     bound = _Timed(gamma.gamma_bound, budget)
     star = _Timed(gamma.star_index, budget)
     peel = _Timed(gamma._peelable, budget)
@@ -78,7 +80,8 @@ def forced_levels(phi, top):
         for k in range(1, top + 1):
             before = bound.seconds, star.seconds, bound.letters, peel.calls
             used, t0 = budget.used, time.perf_counter()
-            _full_level(phi, k, registry, budget, merged)
+            _eps_level(phi, k, registry, schedule)
+            _full_level(phi, k, registry, budget)
             wall = time.perf_counter() - t0
             doubled = _staged(phi, registry)[-1]
             yield (

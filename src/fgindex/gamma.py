@@ -22,8 +22,9 @@ from .words import invert
 # long before this for a primitive map.
 _STAR_CAP = 10_000
 
-# Positive letters 1..128 to their one-byte encodings, for bytes.translate.
+# For bytes.translate: positive letters 1..128 to one-byte codes; sign flips.
 _ENCODE_ONE_BYTE = b"\0" + bytes(range(128, 256)) + bytes(127)
+_FLIP_SIGNS = bytes(b ^ 0x80 for b in range(256))
 
 
 def _common_suffix(x, end, y, size, n, width):
@@ -142,8 +143,8 @@ class _InverseBlocks:
     Letters are encoded as _letter_codes encodes them; inv encodes the
     inverse word.  Blocks are flat bytes, which gamma_bound's walk slices
     in place.  Level j of c is the reduced product, by _push_block, of the
-    level j-1 blocks over the letters of phi^-1(c); the block of c^-1 is
-    built alongside it from the inverted letters in reverse.  Nothing here is
+    level j-1 blocks over the letters of phi^-1(c); the block of c^-1 is its
+    letters reversed with every byte's sign bit flipped.  Nothing here is
     charged: gamma_bound charges each level of a block to its budget (see
     Budget.charge_levels).  bounds is {k: {"minus": g, "plus": g}}, and
     images is {k: EncodedLevel}.
@@ -179,12 +180,11 @@ class _InverseBlocks:
                 stack += [(y, i)] + missing
                 continue
             # Each product starts from its first block, which nothing cancels.
-            w, w_inv = bytearray(prev[word[0]][0]), bytearray(prev[-word[-1]][0])
+            w = bytearray(prev[word[0]][0])
             for x in word[1:]:
                 _push_block(w, prev[x], self.width)
-            for x in reversed(word[:-1]):
-                _push_block(w_inv, prev[-x], self.width)
-            enc, inv = bytes(w), bytes(w_inv)
+            enc = bytes(w)
+            inv = _reversed(enc, self.width).translate(_FLIP_SIGNS)
             levels[i][y], levels[i][-y] = (enc, inv), (inv, enc)
 
 

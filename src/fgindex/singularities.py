@@ -219,56 +219,50 @@ def _level_estimate(phi, k, inv_bounds):
     return sum(lens) + gb, n_loops * 2 * (max(inv_bounds) + 2) * max(lens)
 
 
-def _merge_blank_class(phi, k, side, registry, budget, merged):
-    """Merge level k's class of blank-affix loops on one side, if there are
-    two or more, by cycle arithmetic: a letter has a blank-prefix loop when
-    it lies on a first-letter cycle of length dividing k, and pairs with every
-    admissible left seed.  The plus side mirrors this with last letters.
-
-    merged[side] holds the anchors already merged on that side.  A level
-    whose anchors are all among them is skipped: its points are already in
-    the one class holding every shift-0 point (see _check_blank_points), and
-    re-merging them would change no class, label or budget charge."""
-    heads = phi.cycle_letters("first")
-    tails = phi.cycle_letters("last")
-    own, other = (heads, tails) if side == "minus" else (tails, heads)
-    anchors = sorted(a for a, l in own.items() if k % l == 0)
-    if len(anchors) < 2 or merged[side].issuperset(anchors):
-        return
-    admissible = two_factors(phi)
-    pairs = [
-        (x, a) if side == "minus" else (a, x)
-        for a in anchors
-        for x in sorted(other)
-    ]
-    pts = [periodic_point(phi, c, b) for c, b in pairs if (c, b) in admissible]
-    merge(phi, registry, Singularity(Label(EPSILON, k), pts), budget)
-    merged[side].update(anchors)
+def _blank_schedule(phi):
+    """Each side's blank-affix merges, {side: {level: anchors}}, read off the
+    cycle lengths.  A letter has a blank-prefix loop at level k when it lies
+    on a first-letter cycle of length dividing k; the plus side mirrors this
+    with last letters.  Blank classes all merge into the one class of every
+    shift-0 point (see _check_blank_points), so a level changes it only if a
+    letter first joins another there: at the least lcm of its cycle length
+    with another's on its side.  Such a level merges all its anchors."""
+    schedule = {}
+    for side, end in (("minus", "first"), ("plus", "last")):
+        own = phi.cycle_letters(end)
+        joins = {
+            min(math.lcm(l, m) for b, m in own.items() if b != a)
+            for a, l in own.items()
+        } if len(own) >= 2 else ()
+        schedule[side] = {
+            k: sorted(a for a, l in own.items() if k % l == 0) for k in sorted(joins)
+        }
+    return schedule
 
 
-def _blank_classes_done(phi, merged):
-    """Whether no later level can merge a blank-affix class: each side has
-    merged all its cycle letters, or has fewer than two."""
-    return all(
-        len(own) < 2 or merged[side].issuperset(own)
-        for side, own in (
-            ("minus", phi.cycle_letters("first")),
-            ("plus", phi.cycle_letters("last")),
-        )
-    )
+def _eps_level(phi, k, registry, schedule):
+    """Merge level k's blank-affix classes, if the schedule has any: pure
+    cycle arithmetic, no images.  A blank-prefix anchor pairs with every
+    admissible left seed, a blank-suffix anchor with every right seed."""
+    for side, end in (("minus", "last"), ("plus", "first")):
+        if k not in schedule[side]:
+            continue
+        seeds, admissible = sorted(phi.cycle_letters(end)), two_factors(phi)
+        pairs = [
+            (x, a) if side == "minus" else (a, x)
+            for a in schedule[side][k]
+            for x in seeds
+        ]
+        pts = [periodic_point(phi, c, b) for c, b in pairs if (c, b) in admissible]
+        merge(phi, registry, Singularity(Label(EPSILON, k), pts))
 
 
-def _eps_level(phi, k, registry, merged):
-    """Match only the blank-sided loops: pure cycle arithmetic, no images."""
-    for side in ("minus", "plus"):
-        _merge_blank_class(phi, k, side, registry, None, merged)
-
-
-def _full_level(phi, k, registry, budget, merged):
-    """Run level k in full: list its loops phi^k(a) = p a s, and on each
-    side group them by affix (p on the minus side, s on the plus side).  A
-    group of two or more equal affixes is one class at rotation 0, and
-    all_matches joins the groups' streams for the rest.
+def _full_level(phi, k, registry, budget):
+    """Run level k's nonblank affixes in full: list its loops phi^k(a) =
+    p a s, and on each side group them by affix (p on the minus side, s on
+    the plus side), leaving blank affixes to _eps_level.  A group of two or
+    more equal affixes is one class at rotation 0, and all_matches joins the
+    groups' streams for the rest.
 
     Each affix is grouped and sorted as its slice of level k's encoded
     images (gamma.encoded_level): bytes cache their hash and compare by
@@ -288,7 +282,6 @@ def _full_level(phi, k, registry, budget, merged):
         for key, t in zip(keys, level_loops):
             groups.setdefault(key, []).append(t)
         groups.pop(b"", None)
-        _merge_blank_class(phi, k, side, registry, budget, merged)
         affixes = sorted(groups)
         for affix in affixes:
             if len(groups[affix]) >= 2:
@@ -332,23 +325,24 @@ def _staged(phi, registry):
 def find_all(phi, config):
     """Sweep substitution powers, collecting and merging all singular classes.
 
-    A level runs in full when its estimated cost fits within the level cap
+    Every level merges its blank-affix classes on the schedule read off the
+    cycle lengths once per sweep (_blank_schedule), then runs its nonblank
+    affixes in full when its estimated cost fits within the level cap
     (budget // 16, at least 10^4) and within the budget still remaining;
-    otherwise it is restricted to blank-sided matches.  Once the estimate's
-    non-decreasing part alone no longer fits, every later level runs
-    blank-only without being priced.  Each side's blank-affix class is
-    merged once per new set of anchors, so once both sides have merged all
-    their cycle letters a blank-only level changes nothing: the remaining
-    tail up to the target is recorded as partial levels without being run.
-    A blank-only level, running out of budget or a level target below 4N-4
-    leaves the sweep incomplete.
+    otherwise it stays blank-only.  Once the estimate's non-decreasing part
+    alone no longer fits, every later level runs blank-only without being
+    priced, and once past the schedule's last level such a level changes
+    nothing: the tail up to the target is recorded as partial levels
+    without being run.  A blank-only level, running out of budget or a
+    level target below 4N-4 leaves the sweep incomplete.
     """
     budget = config.make_budget()
     k_target = resolved_max_k(config, phi.rank)
     ceiling = 2 * (phi.rank - 1)
     cap = config.level_cap()
     registry = []
-    merged = {"minus": set(), "plus": set()}
+    schedule = _blank_schedule(phi)
+    last = max((k for levels in schedule.values() for k in levels), default=0)
     full_levels = []
     partial_levels = []
     early_exited = False
@@ -362,21 +356,20 @@ def find_all(phi, config):
         if floor <= limit:
             inv_bounds = _inverse_length_bounds(phi, inv_bounds)
             floor, stream = _level_estimate(phi, k, inv_bounds)
-        if floor > limit and _blank_classes_done(phi, merged):
+        if floor > limit and k > last:
             # Every level from here on is blank-only and leaves the registry
             # as it is, so early exit cannot fire either.
             partial_levels.extend(range(k, k_target + 1))
             k = k_target
             break
+        _eps_level(phi, k, registry, schedule)
         if floor + stream > limit:
-            _eps_level(phi, k, registry, merged)
             partial_levels.append(k)
         else:
             try:
-                _full_level(phi, k, registry, budget, merged)
+                _full_level(phi, k, registry, budget)
                 full_levels.append(k)
             except BudgetExceeded:
-                _eps_level(phi, k, registry, merged)
                 partial_levels.append(k)
         if config.early_exit:
             staged = _staged(phi, registry)
@@ -412,7 +405,7 @@ def _check_blank_points(registry):
     """Periodic points at shift 0 are made only by blank-affix merges, with a
     blank label; every twisted class holds shifted or generic points.  So
     all shift-0 points share the one blank class, which is what lets
-    _merge_blank_class skip anchors it has merged."""
+    _blank_schedule merge only at the levels where a new anchor joins it."""
     for s in registry:
         if s.label.w != EPSILON and any(
             key[0] == "per" and key[3] == 0 for key in s.points

@@ -10,7 +10,7 @@ import weakref
 import zlib
 from collections import deque
 
-from fgindex import gamma
+from fgindex import gamma, singularities
 from fgindex.errors import InvariantViolation, NotPrimitive
 from fgindex.errors import UndefinedShift
 from fgindex.prefix_suffix import (
@@ -20,6 +20,7 @@ from fgindex.prefix_suffix import (
     apply_phi_power_key,
     canonicalize,
     check_chain,
+    periodic_point,
     shift_dev,
     shift_key,
     two_factors,
@@ -640,6 +641,34 @@ def periodic_seeds(phi, k):
         if k % lb == 0 and (c, b) in admissible
     ]
     return tuple(out)
+
+
+def blank_anchors_every_level(phi, top):
+    """{side: {k: anchors}} for every level k up to top: the letters on the
+    side's cycles (first letters on the minus side, last letters on the
+    plus side) whose length divides k, however few."""
+    return {
+        side: {
+            k: sorted(a for a, n in phi.cycle_letters(end).items() if k % n == 0)
+            for k in range(1, top + 1)
+        }
+        for side, end in (("minus", "first"), ("plus", "last"))
+    }
+
+
+def merge_every_blank_class(phi, k, registry, schedule):
+    """Merge each side's class of level k's blank-affix loops whenever its
+    anchors in schedule are two or more, skipping none already merged."""
+    for side, end in (("minus", "last"), ("plus", "first")):
+        anchors = schedule[side][k]
+        if len(anchors) < 2:
+            continue
+        seeds, admissible = sorted(phi.cycle_letters(end)), two_factors(phi)
+        pairs = [(x, a) if side == "minus" else (a, x) for a in anchors for x in seeds]
+        pts = [periodic_point(phi, c, b) for c, b in pairs if (c, b) in admissible]
+        singularities.merge(
+            phi, registry, singularities.Singularity(singularities.Label(EPSILON, k), pts)
+        )
 
 
 def recompose(phi, chain, budget=None):

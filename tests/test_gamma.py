@@ -598,6 +598,25 @@ def test_push_block_is_free_reduction(drawn):
         assert w == oracles.encode_block(cur, rank)[0]
 
 
+@pytest.mark.parametrize(
+    "name", ["fibonacci", "rank3", "rank4", "rank6_cyclic", "rank14_cyclic", "family129"]
+)
+def test_inverse_blocks_encode_the_reduced_inverse_images(name):
+    # Each block is built forward and its inverse read off it: inv must be
+    # the encoding of the inverse of enc's word, two-byte letters included.
+    phi = fresh_map(name)
+    levels = (1, 2, 3, phi.rank) if name == "family129" else range(1, 7)
+    inverse = fgindex.gamma._inverse_blocks(phi)
+    for k in levels:
+        for c in phi.alphabet.letters():
+            inverse.block(c, k)
+    assert len(inverse.levels) == max(levels) + 1
+    for k, blocks in enumerate(inverse.levels[1:], 1):
+        for x, block in blocks.items():
+            word = oracles.unapply_power(phi, (x,), k)
+            assert block == oracles.encode_block(word, phi.rank), (x, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(positive_automorphisms())
 def test_gamma_bound_on_drawn_automorphisms(phi):

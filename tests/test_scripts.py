@@ -1,5 +1,8 @@
-"""The scripts under scripts/ run end to end and print one row per input."""
+"""The scripts under scripts/ run end to end and print one row per input,
+and the benchmark's tracer still finds every function it wraps."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -115,3 +118,28 @@ def test_report_digests_do_not_depend_on_hash_order():
     assert runs[1].stdout == runs[0].stdout
     frozen = (ROOT / "tests" / "data" / "report_digests.txt").read_text("utf-8")
     assert runs[0].stdout == frozen
+
+
+def _load_tracer():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_function_the_tracer_wraps_exists():
+    # A wrapped name that is gone makes the benchmark report its metrics as
+    # null, so a rename must come with a change to the tracer.
+    tracer = _load_tracer()
+    entries = [*tracer.SPANS, tracer.COUNTED, ("budget", *tracer.BUDGET_HOOK)]
+    for span, mod, cls, attr in entries:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{mod}")
+        if cls is None:
+            fn = getattr(owner, attr, None)
+        else:
+            fn = vars(getattr(owner, cls, object)).get(attr)
+        assert callable(fn), (span, mod, cls, attr)
+        if span in tracer.LEVEL_SPANS:
+            # Level records are keyed on the level and count the registry.
+            assert fn.__code__.co_varnames[:3] == ("phi", "k", "registry"), span

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,12 @@ from fgindex.prefix_suffix import loops, periodic_point, point_fixed_by
 from fgindex.singularities import (
     Label,
     Singularity,
+    _blank_schedule,
     _check_disjoint,
     _from_match_groups,
+    _full_level,
     _inverse_length_bounds,
     _level_estimate,
-    _merge_blank_class,
     _staged,
     approx_classes,
     find_all,
@@ -689,21 +691,21 @@ def test_gate_decides_as_when_pricing_every_level_on_drawn_automorphisms(phi):
     _assert_same_decisions_as_pricing_every_level(phi, config)
 
 
-def _merge_every_blank_class(phi, k, side, registry, budget, merged):
-    # A fresh merge state every call: no anchor set is ever skipped.
-    return _merge_blank_class(
-        phi, k, side, registry, budget, {"minus": set(), "plus": set()}
-    )
-
-
 def _assert_same_as_running_every_blank_level(phi, config):
     runs = []
     for patched in (False, True):
         fresh = validate(phi.alphabet, phi.images, phi.inverse_images)
         with pytest.MonkeyPatch.context() as mp:
             if patched:
-                mp.setattr(singularities, "_merge_blank_class", _merge_every_blank_class)
-                mp.setattr(singularities, "_blank_classes_done", lambda phi, merged: False)
+                # Every level's anchors, merged wherever there are two or
+                # more, and the schedule's last level at the target: no
+                # level skipped and no tail left unrun.
+                mp.setattr(
+                    singularities,
+                    "_blank_schedule",
+                    lambda phi: oracles.blank_anchors_every_level(phi, config.max_k),
+                )
+                mp.setattr(singularities, "_eps_level", oracles.merge_every_blank_class)
             a = analyze(fresh, config)
         runs.append(
             (
@@ -729,14 +731,18 @@ def test_blank_skips_change_nothing(name, budget, early_exit):
     )
 
 
-def test_blank_skips_change_nothing_when_anchor_sets_nest():
-    # Two fixed first letters and a 2-cycle: level 2's anchors are level 1's
-    # and two more, so only a subset of the merged anchors may be skipped.
-    phi = validate(
+def _nested_anchor_map():
+    return validate(
         Alphabet(["x0", "x1", "x2", "x3"]),
         [(4, 3, 2, 1), (2, 1), (3, 2, 1), (1,)],
         [(4,), (2, -4), (3, -2), (1, -3)],
     )
+
+
+def test_blank_skips_change_nothing_when_anchor_sets_nest():
+    # Two fixed first letters and a 2-cycle: level 2's anchors are level 1's
+    # and two more, so only a subset of the merged anchors may be skipped.
+    phi = _nested_anchor_map()
     assert sorted(phi.cycle_letters("first").values()) == [1, 1, 2, 2]
     _assert_same_as_running_every_blank_level(phi, RunConfig(max_k=36))
 
@@ -752,6 +758,96 @@ def test_blank_skips_change_nothing_on_drawn_automorphisms(phi, budget, early_ex
         max_k=3 * (4 * phi.rank - 4), budget=budget, early_exit=early_exit
     )
     _assert_same_as_running_every_blank_level(phi, config)
+
+
+# The anchors of each side's blank-affix merges, by level (cycle lengths
+# in the comments, first letters on the minus side, last on the plus side).
+FROZEN_BLANK_SCHEDULES = {
+    # 2, 2, 5 x5, 7 x7 | one fixed letter
+    "rank14_cyclic": (
+        {2: [1, 2], 5: [3, 4, 5, 6, 7], 7: [8, 9, 10, 11, 12, 13, 14]},
+        {},
+    ),
+    # 5 x5 | 6 x6
+    "rank6_cyclic": ({5: [1, 2, 3, 4, 5]}, {6: [1, 2, 3, 4, 5, 6]}),
+    # one fixed letter | 1, 2, 2
+    "rank3": ({}, {2: [1, 2, 3]}),
+    # one fixed letter | 2, 2
+    "fibonacci": ({}, {2: [1, 2]}),
+    # one fixed letter | one fixed letter
+    "rank4": ({}, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_BLANK_SCHEDULES))
+def test_blank_schedules_are_frozen(name):
+    minus, plus = FROZEN_BLANK_SCHEDULES[name]
+    phi = load_automorphism(aut_path(name))
+    assert _blank_schedule(phi) == {"minus": minus, "plus": plus}
+
+
+def test_blank_schedule_merges_old_anchors_with_new_ones():
+    # Two fixed first letters and a 2-cycle: level 1 merges the fixed ones,
+    # and level 2, where the 2-cycle joins them, merges all four.
+    phi = _nested_anchor_map()
+    assert phi.cycle_letters("first") == {1: 2, 2: 1, 3: 1, 4: 2}
+    assert _blank_schedule(phi) == {"minus": {1: [2, 3], 2: [1, 2, 3, 4]}, "plus": {}}
+
+
+class _CycleLengths:
+    """Stands in for a map where only its cycle lengths are read."""
+
+    def __init__(self, first, last):
+        self.ends = {"first": first, "last": last}
+
+    def cycle_letters(self, end):
+        return self.ends[end]
+
+
+_LENGTHS = st.dictionaries(st.integers(1, 12), st.integers(1, 8), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_LENGTHS, _LENGTHS)
+def test_blank_schedule_keeps_the_levels_where_a_letter_first_joins(first, last):
+    # Read off the every-level anchors: a level is kept exactly when one of
+    # its anchors was in no earlier level's merge of two or more.
+    phi = _CycleLengths(first, last)
+    top = math.lcm(*first.values(), *last.values())
+    want = {}
+    for side, levels in oracles.blank_anchors_every_level(phi, top).items():
+        want[side], seen = {}, set()
+        for k, anchors in levels.items():
+            if len(anchors) >= 2 and not seen.issuperset(anchors):
+                want[side][k] = anchors
+                seen.update(anchors)
+    assert _blank_schedule(phi) == want
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [("rank3", 6), ("fibonacci", 6), ("rank6_cyclic", 6), ("rank14_cyclic", 4)],
+)
+def test_full_levels_alone_merge_no_blank_class(name, top):
+    # Each map's schedule merges a blank class by level top.
+    phi = load_automorphism(aut_path(name))
+    assert min(k for levels in _blank_schedule(phi).values() for k in levels) <= top
+    budget, registry = Budget(10**12), []
+    for k in range(1, top + 1):
+        _full_level(phi, k, registry, budget)
+    assert all(s.label.w != EPSILON for s in registry)
+
+
+def test_sweep_builds_the_blank_schedule_once(monkeypatch):
+    calls = []
+
+    def counted(phi):
+        calls.append(phi)
+        return _blank_schedule(phi)
+
+    monkeypatch.setattr(singularities, "_blank_schedule", counted)
+    find_all(load_automorphism(aut_path("rank14_cyclic")), RunConfig(max_k=600))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["rank14_cyclic", "rank6_cyclic"])
