@@ -10,6 +10,7 @@ mutually inverse, and primitivity of the incidence matrix via the classical
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 
 from .errors import CapExceeded, NotInverse, NotPositive, NotPrimitive, ParseError
 from .words import (
@@ -36,8 +37,14 @@ class Automorphism:
             tuple(self.images[b].count(a) for b in range(self.rank))
             for a in range(1, self.rank + 1)
         )
+        sources = [[] for _ in self.images]
+        for b, img in enumerate(self.images):
+            for x in img:
+                sources[x - 1].append(b)
+        # Row c of M.M^j adds the rows of the letters whose images hold c.
+        self._row_sources = tuple((itemgetter(*s), len(s) > 1) for s in sources)
         self._img_cache = {}
-        self._len_cache = {1: tuple(len(w) for w in self.images)}
+        self._len_cache = {0: (1,) * self.rank}
         self._occ_cache = {1: self.incidence}
         self._affix_cache = {}
         self.two_factor_cache = None
@@ -84,33 +91,33 @@ class Automorphism:
     # Missing levels are stepped up in a loop from a cached one, so a deep
     # first request cannot exhaust the stack.
 
-    def _count_step(self, row):
-        """Counts over phi^(j+1)(b), for every b, from counts over phi^j(x)."""
-        return tuple(sum(row[x - 1] for x in img) for img in self.images)
-
     def image_lengths(self, k):
         """Tuple of |phi^k(a)| over positive letters, exact integers."""
         cache = self._len_cache
-        for i in range(len(cache) + 1, k + 1):
-            cache[i] = self._count_step(cache[i - 1])
+        for i in range(len(cache), k + 1):
+            last = cache[i - 1]
+            cache[i] = tuple(sum(last[x - 1] for x in img) for img in self.images)
         return cache[k]
 
     def occurrence_matrix(self, k):
-        """occ[a-1][b-1] = occurrences of a in phi^k(b).
+        """occ[a-1][b-1] = occurrences of a in phi^k(b); level j+1 is M.M^j.
 
         Only level 1 and the highest level requested so far are kept: the
         sweep reads no other, and each is rank^2 integers that grow with k.
-        A lower level is stepped up again from level 1 and not kept.
+        A lower level is stepped from level 0 again; a negative one is a KeyError.
         """
         cache = self._occ_cache
-        got = cache.get(k)
-        if got is not None:
-            return got
+        if k in cache or k < 0:
+            return cache[k]
         top = max(cache)
-        start = top if top < k else 1
-        occ = cache[start]
+        start = top if top < k else 0
+        r = range(self.rank)
+        occ = cache[top] if start else tuple(tuple(int(a == b) for b in r) for a in r)
         for _ in range(start, k):
-            occ = tuple(self._count_step(row) for row in occ)
+            occ = tuple(
+                tuple(map(sum, zip(*rows(occ)))) if add else rows(occ)
+                for rows, add in self._row_sources
+            )
         if k > top:
             if top > 1:
                 del cache[top]
@@ -120,7 +127,7 @@ class Automorphism:
     def word_image_length(self, u, k):
         """|phi^k(u)| for a pure positive or pure negative word u, without
         materializing: no image cancels, and |phi^k(x^-1)| = |phi^k(x)|."""
-        lens = self.image_lengths(k) if k else (1,) * self.rank
+        lens = self.image_lengths(k)
         return sum(lens[abs(x) - 1] for x in u)
 
     # -- whole-word application ----------------------------------------------

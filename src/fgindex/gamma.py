@@ -371,9 +371,10 @@ def _overhangs(phi, k, inverse):
                 c = image[depth - 1]
                 if c not in blocks:
                     # A tail of enc has four sign runs or more if it starts
-                    # before far, the start of enc's third run from the end.
+                    # before far, the start of enc's third run from the end:
+                    # where inv's third run ends, as inv is enc reversed.
                     enc, inv = inverse.block(c, k)
-                    m = _RUNS.match(enc[::-1])
+                    m = _RUNS.match(inv)
                     far = len(enc) - m.end(3) if m.lastindex > 2 else 0
                     blocks[c] = enc, memoryview(inv), far
                 node = push(node, c)

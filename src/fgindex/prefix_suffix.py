@@ -115,14 +115,11 @@ def _split(phi, parent, pos, k):
     chain = [None] * k
     for i in range(k - 1, -1, -1):
         w = phi.images[parent - 1]
+        lens = phi.image_lengths(i)
         m = 0
-        if i:
-            lens = phi.image_lengths(i)
-            while m < len(w) and pos >= lens[w[m] - 1]:
-                pos -= lens[w[m] - 1]
-                m += 1
-        else:
-            m = pos
+        while m < len(w) and pos >= lens[w[m] - 1]:
+            pos -= lens[w[m] - 1]
+            m += 1
         if m >= len(w):
             raise InvariantViolation("marker fell outside the refined image")
         chain[i] = Triplet(w, m, 1, parent)
@@ -195,7 +192,7 @@ def shift_dev(phi, dev, n):
             direction = "forward" if n > 0 else "backward"
             raise UndefinedShift(f"development carries no {direction} letters")
         t = dev.at(level)
-        lens = phi.image_lengths(level) if level else (1,) * phi.rank
+        lens = phi.image_lengths(level)
         off += sum(lens[x - 1] for x in t.p)
         reach += sum(lens[x - 1] for x in side(t))
         level += 1

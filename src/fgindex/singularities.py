@@ -211,10 +211,7 @@ def _level_estimate(phi, k, inv_bounds):
     """
     lens = phi.image_lengths(k)
     occ = phi.occurrence_matrix(k)
-    gb = sum(
-        sum(occ[c][a] for a in range(phi.rank)) * inv_bounds[c]
-        for c in range(phi.rank)
-    )
+    gb = sum(n * bound for n, bound in zip(map(sum, occ), inv_bounds))
     n_loops = sum(occ[a][a] for a in range(phi.rank))
     return sum(lens) + gb, n_loops * 2 * (max(inv_bounds) + 2) * max(lens)
 

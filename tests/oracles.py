@@ -768,8 +768,8 @@ def inverse_length_bounds(phi, k):
 
 
 def level_estimate(phi, k, occ):
-    """The level gate's projected cost of level k, from occ = occ_k and the
-    inverse bounds rebuilt from level 1."""
+    """The level gate's projected cost of level k as (floor, stream), from
+    occ = occ_k and the inverse bounds rebuilt from level 1."""
     lens = [sum(col) for col in zip(*occ)]
     mat = sum(lens)
     inv_bounds = inverse_length_bounds(phi, k)
@@ -779,7 +779,7 @@ def level_estimate(phi, k, occ):
     )
     n_loops = sum(occ[a][a] for a in range(phi.rank))
     stream = n_loops * 2 * (max(inv_bounds) + 2) * max(lens)
-    return mat + gb + stream
+    return mat + gb, stream
 
 
 # -- symbolic points moved one letter or one substitution step at a time --------

@@ -22,7 +22,7 @@ from fgindex.gamma import _InverseBlocks, gamma_bound
 from fgindex.words import invert
 
 import oracles
-from conftest import aut_path
+from conftest import aut_path, fresh_map
 
 ALL = ["rank3", "rank4", "fibonacci", "rank6", "rank14"]
 
@@ -155,6 +155,25 @@ def test_occurrence_matrix_counts_letters(phi):
                 assert mat[c - 1][a - 1] == image.count(c)
 
 
+@pytest.mark.parametrize("name", ["fibonacci", "rank3", "rank6_cyclic"])
+def test_count_tables_answer_level_zero_exactly(name):
+    # Level 0 is the identity map: every letter once, in its own image only.
+    # A level below 0 is an error, not a silent answer.
+    phi = fresh_map(name)
+    r = range(phi.rank)
+    for _ in range(2):  # fresh, then with higher levels cached
+        assert phi.image_lengths(0) == (1,) * phi.rank
+        assert phi.occurrence_matrix(0) == tuple(
+            tuple(int(a == b) for b in r) for a in r
+        )
+        for count in (phi.image_lengths, phi.occurrence_matrix):
+            with pytest.raises(KeyError):
+                count(-1)
+        phi.image_lengths(3)
+        phi.occurrence_matrix(3)
+    assert sorted(phi._occ_cache) == [1, 3]
+
+
 def test_deep_count_tables_on_a_fresh_map():
     # Far more levels than the interpreter's recursion limit, requested first.
     phi = cyclic_family(3)
@@ -203,7 +222,7 @@ def test_word_image_length_adds_up(phi):
     u = tuple(phi.alphabet.letters())[:3]
     # Plus-side labels are inverted affixes, so pure negative words count too.
     for word in (u, invert(u)):
-        for k in (1, 2, 5):
+        for k in (0, 1, 2, 5):
             assert phi.word_image_length(word, k) == len(
                 oracles.apply_power(phi, word, k)
             )

@@ -617,6 +617,45 @@ def test_inverse_blocks_encode_the_reduced_inverse_images(name):
             assert block == oracles.encode_block(word, phi.rank), (x, k)
 
 
+def _assert_far_reads_off_inverse_blocks(phi, levels):
+    # _overhangs finds where a block's third sign run from the end starts by
+    # matching the runs of its inverse block: inv is the block reversed
+    # letter by letter with every sign flipped, so its runs are the reversed
+    # copy's runs, of the same lengths, even with two-byte letters.
+    inverse = fgindex.gamma._inverse_blocks(phi)
+    for k in levels:
+        for c in phi.alphabet.letters():
+            inverse.block(c, k)
+    for k in levels:
+        for x, (enc, inv) in inverse.levels[k].items():
+            m = fgindex.gamma._RUNS.match(inv)
+            copy = fgindex.gamma._RUNS.match(enc[::-1])
+            assert m.lastindex == copy.lastindex, (x, k)
+            assert [m.end(i) for i in range(1, m.lastindex + 1)] == [
+                copy.end(i) for i in range(1, copy.lastindex + 1)
+            ], (x, k)
+
+
+@pytest.mark.parametrize(
+    "name, levels",
+    [
+        ("rank6_cyclic", range(1, 11)),
+        ("rank14_cyclic", range(1, 6)),
+        ("family129", (1, 2, 3)),
+    ],
+    ids=["rank6_cyclic", "rank14_cyclic", "family129"],
+)
+def test_far_reads_off_inverse_blocks(name, levels):
+    _assert_far_reads_off_inverse_blocks(fresh_map(name), levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms())
+def test_far_reads_off_inverse_blocks_of_drawn_automorphisms(phi):
+    levels = [k for k in (1, 2, 3, 4, 5) if max(phi.image_lengths(k)) <= 2000]
+    _assert_far_reads_off_inverse_blocks(phi, levels)
+
+
 @settings(max_examples=60, deadline=None)
 @given(positive_automorphisms())
 def test_gamma_bound_on_drawn_automorphisms(phi):
