@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
 """Survey automorphism files: index, completeness and class structure.
 
-With no arguments, runs every bundled example.  The two large cyclic
-examples default to a ten-level cap, since their full sweeps would need
-image lengths far past any budget; pass --max-k to override the cap for
-every file at once.
+With no arguments, runs every bundled example.  --max-k caps the level
+for every file at once.
 """
 
 import argparse
@@ -16,7 +14,6 @@ from fgindex.cli import analyze, index_fraction
 from fgindex.config import DEFAULT_BUDGET, RunConfig
 
 DEFAULT_DIR = Path(__file__).resolve().parents[1] / "automorphisms"
-DEFAULT_CAPS = {"rank6_cyclic": 10, "rank14_cyclic": 10}
 
 HEADER = (
     "name",
@@ -32,8 +29,7 @@ HEADER = (
 
 def survey_row(path, max_k, budget):
     phi = load_automorphism(str(path))
-    cap = max_k if max_k is not None else DEFAULT_CAPS.get(path.stem)
-    analysis = analyze(phi, RunConfig(max_k=cap, budget=budget))
+    analysis = analyze(phi, RunConfig(max_k=max_k, budget=budget))
     result = analysis.result
     return (
         path.stem,

@@ -257,72 +257,63 @@ def _overhangs(phi, k, inverse):
     The plus side asks whether P is (positives+)(negatives).  The minus side
     asks the same of a^-1 P, the inverse of the suffix preimage, as
     (negatives+)(positives), for any letter a whose image has x as a proper
-    prefix: if P starts with such an a, a^-1 P is P without its first letter;
-    otherwise it is P with a^-1 in front, and P must be (negatives)
-    (positives).  An all-positive P never starts with such an a, since then
-    phi^k(P), which is x, would be at least as long as phi^k(a).  Both
-    overhangs are the last run of P, so only a last run longer than the best
-    so far is looked at.
+    prefix.  An all-positive P never starts with such an a, since then
+    phi^k(P), which is x, would be at least as long as phi^k(a); so a^-1 P
+    qualifies when P is (negatives)(positives+).  It qualifies too when
+    P = a N Q, with N negative and Q positive, but that case never decides
+    the bound, and the walk leaves it out.  Write N^-1 = b_1 ... b_r and
+    phi^k(a) = x y: phi^k(a N Q) = x gives phi^k(N^-1) = phi^k(Q) y, a
+    product of positive words.  y cannot start where a block phi^k(b_j)
+    starts, for Q would then be b_1 ... b_(j-1), and P would not be reduced.
+    So y starts strictly inside some phi^k(b_j), and the proper prefix x_j
+    of phi^k(b_j) before it has the preimage (b_1 ... b_(j-1))^-1 Q, which
+    is reduced, since Q does not start with b_1, the inverse of N's last
+    letter.  That preimage is (negatives)(positives+), and counts with the
+    same overhang |Q|.  Both overhangs are the last run of P, so only a last
+    run longer than the best so far is looked at.
 
     P is a persistent stack of slices of the level's inverse blocks, nothing
-    copied: a node (blk, off, end, below, size, runs, first, last, head, c)
-    puts blk[off:end], a slice of c's block, on top of the preimage below,
-    with all the two sides ask of the whole preimage: its byte size, its
-    sign runs (4 standing for 4 or more), the byte lengths of its first and
-    last runs, and its first letter.  A push cancels whole slices off the
-    top, cuts the one it stops in, and puts the block's uncancelled tail on
-    top.  Each cancellation is read from a table kept for the walk, keyed
-    by (letter of the slice's block, slice end, c, position in c's inverse
-    block), which holds the overlap capped only by those two ends: each
-    pair of ends is compared once, however many prefixes push it.
+    copied: a node (blk, off, end, below, size, runs, last, c) puts
+    blk[off:end], a slice of c's block, on top of the preimage below, with
+    all the two sides ask of the whole preimage: its byte size, its sign
+    runs (4 standing for 4 or more) and the byte length of its last run.  A
+    push cancels whole slices off the top, cuts the one it stops in, and
+    puts the block's uncancelled tail on top.  Each cancellation is read
+    from a table kept for the walk, keyed by (letter of the slice's block,
+    slice end, c, position in c's inverse block), which holds the overlap
+    capped only by those two ends: each pair of ends is compared once,
+    however many prefixes push it.
 
-    The images are walked in sorted order, each resuming from its common
-    prefix with the one before it: the node at each depth where a later
-    image resumes is kept, by the last image to reach that depth before it.
+    The sorted images are walked depth first, by runs of them that share a
+    prefix, on an explicit stack.  A run pushes its common prefix, the
+    common prefix of its first and last images (all but the last letter of
+    a lone image), on the node its parent ended at; then it splits by the
+    letter after that prefix, and each part goes on from its node.  Only
+    the run's first image can end at the common prefix, which is then a
+    proper prefix of every other image of the run; so each pushed prefix
+    is checked once.  A preimage of one letter is never one of own, the
+    letters of the run's images that go on past the prefix: its image
+    would be x, a proper prefix of itself.
     """
     width = inverse.width
     letters = inverse.levels[0]
-    walk = sorted((phi.letter_image(a, k), a) for a in phi.alphabet.letters())
-    n = len(walk)
-    shared = [0] + [_common_prefix(x, y) for (x, _), (y, _) in zip(walk, walk[1:])]
-    # The depths each image keeps its preimage at: image j resumes from the
-    # last image before it that walked its depth shared[j].
-    saves = [set() for _ in walk]
-    for j in range(1, n):
-        if shared[j]:
-            i = j - 1
-            while shared[i] >= shared[j]:
-                i -= 1
-            saves[i].add(shared[j])
-
-    def opens_own_image(head, j, depth):
-        """Whether head, a preimage's first letter, is a letter whose image
-        has the first depth letters of image j as a proper prefix: the
-        images from j on that share them."""
-        for t in range(j, n):
-            if t > j and shared[t] < depth:
-                return False
-            if head == letters[walk[t][1]][0]:
-                return True
-        return False
-
+    walk = sorted(
+        (phi.letter_image(a, k), letters[a][0]) for a in phi.alphabet.letters()
+    )
     blocks, overlaps = {}, {}
 
     def slice_node(blk, off, end, below, c):
         """The node of blk[off:end], a slice of c's block, on top of below."""
         m = _RUNS.match(blk, off, end)
         runs = m.lastindex
-        first, last = m.end(1) - off, end - m.start(runs)
+        last = end - m.start(runs)
         if below is None:
-            head = blk[off:off + width]
-            return blk, off, end, None, end - off, runs, first, last, head, c
-        b, _, e, _, size, r, f, t, head, _ = below
+            return blk, off, end, None, end - off, runs, last, c
+        b, _, e, _, size, r, t, _ = below
         if not (b[e - 1] ^ blk[off]) & 0x80:  # one run across the seam
-            f += first if r == 1 else 0
             last += t if runs == 1 else 0
             runs -= 1
-        size += end - off
-        return blk, off, end, below, size, min(4, r + runs), f, last, head, c
+        return blk, off, end, below, size + end - off, min(4, r + runs), last, c
 
     def push(node, c):
         """node's preimage times c's block, freely reduced: cancelled slices
@@ -336,7 +327,7 @@ def _overhangs(phi, k, inverse):
             if blk[end - 1] != inv[pos - 1]:
                 m = 0  # the last letters differ in their last bytes
             else:
-                key = node[9], end, c, pos
+                key = node[7], end, c, pos
                 m = overlaps.get(key)
                 if m is None:
                     most = (end if end < pos else pos) // width
@@ -345,57 +336,53 @@ def _overhangs(phi, k, inverse):
             pos -= m * width
             if m * width < span:
                 if m:
-                    node = slice_node(blk, off, end - m * width, below, node[9])
+                    node = slice_node(blk, off, end - m * width, below, node[7])
                 break
             node = below
         cut = size - pos
         if cut < far and node:
             # The tail has four sign runs or more, and so has the preimage.
-            return enc, cut, size, node, node[4] + size - cut, 4, 0, 0, node[8], c
+            return enc, cut, size, node, node[4] + size - cut, 4, 0, c
         return slice_node(enc, cut, size, node, c) if cut < size else node
 
     minus = plus = 0
-    stack = [(0, None)]
-    for j, (image, _) in enumerate(walk):
-        r, save = shared[j], saves[j]
-        while stack[-1][0] > r:
-            stack.pop()
-        node = stack[-1][1]
-        last = len(image) - 1
-        # The common prefix was checked by the image before, unless it is
-        # that whole image; a depth past the last proper prefix is walked
-        # only for a later image to resume from.
-        first = r if r and r == len(walk[j - 1][0]) else r + 1
-        for depth in range(first, max(last, max(save, default=0)) + 1):
-            if depth > r:
-                c = image[depth - 1]
-                if c not in blocks:
-                    # A tail of enc has four sign runs or more if it starts
-                    # before far, the start of enc's third run from the end:
-                    # where inv's third run ends, as inv is enc reversed.
-                    enc, inv = inverse.block(c, k)
-                    m = _RUNS.match(inv)
-                    far = len(enc) - m.end(3) if m.lastindex > 2 else 0
-                    blocks[c] = enc, memoryview(inv), far
-                node = push(node, c)
-                if depth in save:
-                    stack.append((depth, node))
-                if depth > last:
-                    continue
-            if node is None or node[4] <= width and opens_own_image(node[8], j, depth):
+    stack = [(0, len(walk), 0, None)]
+    while stack:
+        lo, hi, done, node = stack.pop()
+        first, last = walk[lo][0], walk[hi - 1][0]
+        top = min(_common_prefix(first, last), len(last) - 1)
+        rest = lo + (len(first) == top)
+        own = {code for _, code in walk[rest:hi]}
+        for depth in range(done + 1, top + 1):
+            c = first[depth - 1]
+            if c not in blocks:
+                # A tail of enc has four sign runs or more if it starts
+                # before far, the start of enc's third run from the end:
+                # where inv's third run ends, as inv is enc reversed.
+                enc, inv = inverse.block(c, k)
+                m = _RUNS.match(inv)
+                far = len(enc) - m.end(3) if m.lastindex > 2 else 0
+                blocks[c] = enc, memoryview(inv), far
+            node = push(node, c)
+            if node is None or node[4] == width and node[0][node[1]:node[2]] in own:
                 raise InvariantViolation("affix preimage reduced to nothing")
-            if node[5] == 4:
+            blk, _, end, _, _, runs, last_run, _ = node
+            if runs == 4:
                 continue
-            blk, _, end, _, _, runs, first_run, last_run, head, _ = node
             if blk[end - 1] & 0x80:
-                # Minus: a^-1 P is (negatives+)(positives).
-                if last_run > minus * width and (
-                    runs < 3 or first_run == width and opens_own_image(head, j, depth)
-                ):
+                # Minus: P is (negatives)(positives+).
+                if runs < 3 and last_run > minus * width:
                     minus = last_run // width
-            elif runs == 2 and head[0] & 0x80 and last_run > plus * width:
+            elif runs == 2 and last_run > plus * width:
                 # Plus: P is (positives+)(negatives).
                 plus = last_run // width
+        if hi - lo > 1:
+            # One part per letter after the prefix, the first on top.
+            for i in range(hi - 1, rest, -1):
+                if walk[i][0][top] != walk[i - 1][0][top]:
+                    stack.append((i, hi, top, node))
+                    hi = i
+            stack.append((rest, hi, top, node))
     return {"minus": minus, "plus": plus}
 
 

@@ -29,15 +29,11 @@ class Component:
     the tree path from the least node to every node, and the non-tree edges,
     each closing one cycle.  `basis` is filled in by the caller."""
 
-    def __init__(self, nodes, edges=None, cycle_rank=0, attracting_classes=0,
-                 paths=None, extra=None, basis=None):
+    def __init__(self, nodes):
         self.nodes = nodes
-        self.edges = [] if edges is None else edges
-        self.cycle_rank = cycle_rank
-        self.attracting_classes = attracting_classes
-        self.paths = {} if paths is None else paths
-        self.extra = [] if extra is None else extra
-        self.basis = [] if basis is None else basis
+        self.edges, self.extra, self.basis = [], [], []
+        self.cycle_rank = self.attracting_classes = 0
+        self.paths = {}
 
 
 def _orbit_key(point):

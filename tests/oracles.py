@@ -280,12 +280,17 @@ def gamma_bound_charges_per_image(phi, k, side, budget):
 _POSITIVE_BYTES, _NEGATIVE_BYTES = bytes(range(128, 256)), bytes(range(128))
 
 
-def overhangs_flat(phi, k, inverse):
+def overhangs_flat(phi, k, inverse, own_first=True):
     """{"minus": g, "plus": g} for level k, as fgindex.gamma._overhangs
-    returns it, from the same walk over the sorted images with each
-    preimage held flat: a bytearray that gamma._push_block reduces in place,
-    copied at every depth a later image resumes from, with every sign check
-    a strip over the whole preimage."""
+    returns it, from a walk over the sorted images with each preimage held
+    flat: a bytearray that gamma._push_block reduces in place, copied at
+    every depth a later image resumes from, with every sign check a strip
+    over the whole preimage.
+
+    With own_first, the minus side also counts a preimage a N Q, N negative
+    and Q positive, for a letter a whose image has the prefix as a proper
+    prefix: the case that _overhangs leaves out, as it never decides the
+    bound (see own_first_cases)."""
     width = inverse.width
     letters = inverse.levels[0]
     walk = sorted((phi.letter_image(a, k), a) for a in phi.alphabet.letters())
@@ -343,12 +348,56 @@ def overhangs_flat(phi, k, inverse):
             if size >= tail and not w[-tail:].lstrip(_POSITIVE_BYTES):
                 rest = w.rstrip(_POSITIVE_BYTES)
                 if not rest.lstrip(_NEGATIVE_BYTES) or (
-                    rest[0] & 0x80
+                    own_first
+                    and rest[0] & 0x80
                     and not rest[width:].lstrip(_NEGATIVE_BYTES)
                     and opens_own_image(rest, j, depth)
                 ):
                     minus = (size - len(rest)) // width
     return {"minus": minus, "plus": plus}
+
+
+def own_first_cases(phi, k):
+    """(a, i, P) for each proper prefix x = phi^k(a)[:i] whose reduced
+    preimage P is a N Q, N negative and Q positive: the minus side's
+    own-first case, where a^-1 P = N Q qualifies with overhang |Q|."""
+    found = []
+    for a in phi.alphabet.letters():
+        image = apply_power(phi, (a,), k)
+        P = []
+        for i, c in enumerate(image[:-1], start=1):
+            for y in inverse_letter_image(phi, c, k):
+                if P and P[-1] == -y:
+                    P.pop()
+                else:
+                    P.append(y)
+            if P[0] == a and len(P) > 2 and P[1] < 0:
+                runs = _sign_runs(P)
+                if len(runs) == 3:
+                    found.append((a, i, tuple(P)))
+    return found
+
+
+def own_first_witness(phi, k, a, i, P):
+    """The prefix that already counts an own-first case (a, i, P) of
+    own_first_cases, with the same overhang.
+
+    Write P = a N Q and N^-1 = b_1 ... b_r.  The suffix y of phi^k(a) after
+    its first i letters is phi^k(Q)^-1 phi^k(N^-1), so it starts inside the
+    product of the blocks phi^k(b_j).  Returns (b_j, x_j, R): y starts after
+    the first |x_j| letters of phi^k(b_j), x_j is a nonempty proper prefix
+    of it, and R = phi^-k(x_j) = (b_1 ... b_(j-1))^-1 Q, reduced."""
+    n = 2
+    while P[n] < 0:
+        n += 1
+    b, Q = invert(P[1:n]), P[n:]
+    offset = len(apply_power(phi, Q, k))
+    for j, c in enumerate(b):
+        block = apply_power(phi, (c,), k)
+        if offset < len(block):
+            return c, block[:offset], reduce_word(invert(b[:j]) + Q)
+        offset -= len(block)
+    raise AssertionError("the suffix outruns phi^k(N^-1)")
 
 
 def peel_depth(phi, k, side, v):

@@ -673,7 +673,8 @@ def test_gamma_bound_on_drawn_automorphisms(phi):
 @settings(max_examples=60, deadline=None)
 @given(positive_automorphisms(), st.data())
 def test_gamma_bound_ignores_the_naming_of_the_generators(phi, data):
-    # The walk visits the images in the order of their letters' numbers.
+    # The walk visits the images in sorted order, which renaming the
+    # letters changes.
     perm = data.draw(st.permutations(range(1, phi.rank + 1)), label="perm")
     moved = relabelled(phi, perm)
     for k in (1, 2, 3, 4):
@@ -726,6 +727,49 @@ def test_overhangs_match_the_flat_walk_on_drawn_automorphisms(phi):
         if max(phi.image_lengths(k)) > 2000:
             break
         _assert_walk_matches_flat_walk(phi, (k,))
+
+
+def _assert_own_first_never_decides(phi, k):
+    """Each own-first case at level k, a prefix of phi^k(a) with preimage
+    a N Q, is counted again, with the same overhang |Q|, by the prefix x_j
+    of some phi^k(b_j), b_1 ... b_r = N^-1, whose preimage is
+    (b_1 ... b_(j-1))^-1 Q.  So the flat walk gives the same bounds with and
+    without the case, and _overhangs, which leaves it out, gives them too.
+    Returns the cases."""
+    cases = oracles.own_first_cases(phi, k)
+    for a, i, P in cases:
+        _, x, R = oracles.own_first_witness(phi, k, a, i, P)
+        assert x and oracles.unapply_power(phi, x, k) == R, (a, i)
+        runs = oracles._sign_runs(R)
+        assert len(runs) <= 2 and runs[-1] == oracles._sign_runs(P)[-1], (a, i)
+    inverse = fgindex.gamma._inverse_blocks(phi)
+    without = oracles.overhangs_flat(phi, k, inverse, own_first=False)
+    assert oracles.overhangs_flat(phi, k, inverse) == without, k
+    assert fgindex.gamma._overhangs(phi, k, inverse) == without, k
+    return cases
+
+
+def test_own_first_case_occurs_and_never_decides_the_bound():
+    # At level 1 the prefix x0 of x3's image has the preimage x3 x0^-1 x2,
+    # and x0 x1 x2 x0 x1 of x1's image has x1 x0^-1 x2.
+    phi = validate(
+        Alphabet(["x0", "x1", "x2", "x3"]),
+        ((1, 2, 4), (1, 2, 3, 1, 2, 4), (1, 2), (1, 4)),
+        ((4, -1, 3), (-3, 1, -4, 3), (-3, 2, -1), (-3, 1)),
+    )
+    cases = _assert_own_first_never_decides(phi, 1)
+    assert cases == [(2, 5, (2, -1, 3)), (4, 1, (4, -1, 3))]
+    assert gamma_bound(phi, 1, "minus", unlimited()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_automorphisms())
+def test_own_first_case_never_decides_the_bound_on_drawn_automorphisms(phi):
+    for k in (1, 2, 3):
+        # own_first_cases reduces every prefix's preimage letter by letter.
+        if max(phi.image_lengths(k)) > 400:
+            break
+        _assert_own_first_never_decides(phi, k)
 
 
 def _walk_comparisons(phi, k):
