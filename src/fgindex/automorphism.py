@@ -193,21 +193,16 @@ class Automorphism:
 
     # -- growing rays for periodic points ------------------------------------
 
-    def ray_tail(self, c, cycle_len, need):
-        """Last `need` letters of the leftward-periodic ray ending in c.
+    def ray(self, x, need, head):
+        """The first `need` letters of the rightward-periodic ray starting at
+        x, or with head=False the last `need` of the leftward one ending in x.
 
-        The ray is the limit of phi^(cycle_len * t)(c); each image ends with
-        the previous word, so iterating on a suffix converges.
+        For l the cycle length of x under the first- or last-letter map, the
+        ray is the limit of phi^(l t)(x): each image starts (ends) with the
+        previous one.  It is read through image_affix, t growing until it has
+        `need` letters, so no whole image is built or cached.
         """
-        return self._ray(c, cycle_len, need, head=False)
-
-    def ray_head(self, b, cycle_len, need):
-        """First `need` letters of the rightward-periodic ray starting at b."""
-        return self._ray(b, cycle_len, need, head=True)
-
-    def _ray(self, x, cycle_len, need, head):
-        """phi^(cycle_len * t)(x) read through image_affix, t growing until
-        it has `need` letters: no whole image is built or cached."""
+        cycle_len = self.cycle_letters("first" if head else "last")[x]
         word, i = (x,), 0
         while len(word) < need:
             i += cycle_len

@@ -112,7 +112,7 @@ def report_dict(analysis):
             "k_target": result.k_target,
             "k_reached": result.k_reached,
             "full_levels": result.full_levels,
-            "partial_levels": _level_runs(result.partial_levels),
+            "partial_levels": result.partial_runs(),
             "early_exited": result.early_exited,
             "max_rho_power": result.max_rho_power,
             "budget_used": result.budget_used,
@@ -125,28 +125,18 @@ def report_dict(analysis):
     }
 
 
-def _level_runs(levels):
-    """Increasing levels as inclusive [first, last] runs."""
-    runs = []
-    for k in levels:
-        if runs and runs[-1][1] == k - 1:
-            runs[-1][1] = k
-        else:
-            runs.append([k, k])
-    return runs
-
-
-def _level_ranges(levels):
-    """Increasing levels as comma-separated runs, such as '2, 5-7, 9'."""
-    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in _level_runs(levels))
+def _level_ranges(runs):
+    """Inclusive [first, last] level runs as text, such as '2, 5-7, 9'."""
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
 def _exit_code(result, rank):
     """EXIT_OK, or EXIT_TRUNCATED after a stderr banner saying why."""
     if result.complete:
         return EXIT_OK
-    if result.partial_levels:
-        why = f"partial levels: {_level_ranges(result.partial_levels)}"
+    runs = result.partial_runs()
+    if runs:
+        why = f"partial levels: {_level_ranges(runs)}"
     else:
         why = f"level target {result.k_target} below 4N-4 = {4 * rank - 4}"
     print(

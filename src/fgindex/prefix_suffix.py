@@ -274,11 +274,8 @@ class SymbolicPoint:
             c, b, n = self.per_data()
             lo += n
             hi += n
-            phi = self.phi
-            lc = phi.cycle_letters("last")[c]
-            lb = phi.cycle_letters("first")[b]
-            left = phi.ray_tail(c, lc, -lo) if lo < 0 else EPSILON
-            right = phi.ray_head(b, lb, hi) if hi > 0 else EPSILON
+            left = self.phi.ray(c, -lo, False) if lo < 0 else EPSILON
+            right = self.phi.ray(b, hi, True) if hi > 0 else EPSILON
             out = []
             if lo < 0:
                 out.extend(left[: min(hi, 0) - lo])
@@ -380,28 +377,27 @@ def periodic_point(phi, c, b, n=0):
 def complete_for_anchor(phi, t, shift):
     """All points S^shift(W) over points W developing as the anchor t*.
 
-    A generic anchor pins a single point.  A blank-sided anchor admits one
-    periodic point per seed letter on the opposite cycle forming an
-    admissible 2-factor with the anchor letter; a blank-suffix anchor's
-    marked letter sits one to the left of the periodic point's origin.
+    A generic anchor pins a single point, a blank-sided one the periodic
+    points of seed_points; a blank-suffix anchor's marked letter sits one to
+    the left of the periodic point's origin.
     """
     blank_p, blank_s = t.pos == 0, t.pos == len(t.image) - 1
     if blank_p and blank_s:
         raise InvariantViolation("single-letter image in a primitive map")
     if not (blank_p or blank_s):
         return [SymbolicPoint(phi, t, shift)]
+    return seed_points(phi, t.a, blank_p, shift if blank_p else shift - 1)
+
+
+def seed_points(phi, a, blank_prefix, shift):
+    """The points S^shift of the periodic points seeded by the anchor letter
+    a: on the right, with every left seed on the last-letter cycles, for a
+    blank prefix, else on the left with every right seed on the first-letter
+    cycles; only seed pairs forming an admissible 2-factor count."""
+    end = "last" if blank_prefix else "first"
+    pairs = [(x, a) if blank_prefix else (a, x) for x in sorted(phi.cycle_letters(end))]
     admissible = two_factors(phi)
-    if blank_p:
-        return [
-            periodic_point(phi, c, t.a, shift)
-            for c in sorted(phi.cycle_letters("last"))
-            if (c, t.a) in admissible
-        ]
-    return [
-        periodic_point(phi, t.a, b, shift - 1)
-        for b in sorted(phi.cycle_letters("first"))
-        if (t.a, b) in admissible
-    ]
+    return [periodic_point(phi, c, b, shift) for c, b in pairs if (c, b) in admissible]
 
 
 # -- action of the substitution on canonical keys ------------------------------
@@ -431,12 +427,7 @@ def apply_phi_power_key(phi, key, m):
     if n == 0:
         return ("per", c2, b2, 0)
     lens = phi.image_lengths(m)
-    if n > 0:
-        lb = phi.cycle_letters("first")[b]
-        window = phi.ray_head(b, lb, n)
-    else:
-        lc = phi.cycle_letters("last")[c]
-        window = phi.ray_tail(c, lc, -n)
+    window = phi.ray(b, n, True) if n > 0 else phi.ray(c, -n, False)
     total = sum(lens[x - 1] for x in window)
     return ("per", c2, b2, total if n > 0 else -total)
 

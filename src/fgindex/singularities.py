@@ -19,13 +19,7 @@ from .errors import (
     InvariantViolation,
 )
 from .gamma import all_matches, encoded_level
-from .prefix_suffix import (
-    complete_for_anchor,
-    loops,
-    periodic_point,
-    point_fixed_by,
-    two_factors,
-)
+from .prefix_suffix import complete_for_anchor, loops, point_fixed_by, seed_points
 from .words import EPSILON, Purity, invert, purity, word_sort_key
 
 # Largest multiple of a point's base period tried as its fixing power.
@@ -182,11 +176,30 @@ def _is_genuine(phi, sing):
     return len(firsts) > 1
 
 
-SweepResult = namedtuple(
+class SweepResult(namedtuple(
     "SweepResult",
-    "singularities complete k_target k_reached full_levels partial_levels"
+    "singularities complete k_target k_reached full_levels"
     " early_exited max_rho_power budget_used dropped graph components doubled",
-)
+)):
+    """A sweep's classes and bookkeeping.  Every level from 1 to k_reached
+    ran, in full or blank-only, so the partial levels are the gaps between
+    the full ones and are derived, not stored."""
+
+    __slots__ = ()
+
+    def partial_runs(self):
+        """The partial levels as inclusive [first, last] runs."""
+        runs, start = [], 1
+        for k in self.full_levels + [self.k_reached + 1]:
+            if k > start:
+                runs.append([start, k - 1])
+            start = k + 1
+        return runs
+
+    @property
+    def partial_levels(self):
+        """The partial levels one entry each, as long as the levels reached."""
+        return [k for a, b in self.partial_runs() for k in range(a, b + 1)]
 
 
 def _inverse_length_bounds(phi, prev):
@@ -239,19 +252,17 @@ def _blank_schedule(phi):
 
 def _eps_level(phi, k, registry, schedule):
     """Merge level k's blank-affix classes, if the schedule has any: pure
-    cycle arithmetic, no images.  A blank-prefix anchor pairs with every
-    admissible left seed, a blank-suffix anchor with every right seed."""
-    for side, end in (("minus", "last"), ("plus", "first")):
-        if k not in schedule[side]:
-            continue
-        seeds, admissible = sorted(phi.cycle_letters(end)), two_factors(phi)
-        pairs = [
-            (x, a) if side == "minus" else (a, x)
-            for a in schedule[side][k]
-            for x in seeds
-        ]
-        pts = [periodic_point(phi, c, b) for c, b in pairs if (c, b) in admissible]
-        merge(phi, registry, Singularity(Label(EPSILON, k), pts))
+    cycle arithmetic, no images.  Each anchor pairs with every admissible
+    seed on the other side (seed_points): blank prefixes on the minus side,
+    blank suffixes on the plus side."""
+    for side in ("minus", "plus"):
+        if k in schedule[side]:
+            pts = [
+                p
+                for a in schedule[side][k]
+                for p in seed_points(phi, a, side == "minus", 0)
+            ]
+            merge(phi, registry, Singularity(Label(EPSILON, k), pts))
 
 
 def _full_level(phi, k, registry, budget):
@@ -329,9 +340,9 @@ def find_all(phi, config):
     otherwise it stays blank-only.  Once the estimate's non-decreasing part
     alone no longer fits, every later level runs blank-only without being
     priced, and once past the schedule's last level such a level changes
-    nothing: the tail up to the target is recorded as partial levels
-    without being run.  A blank-only level, running out of budget or a
-    level target below 4N-4 leaves the sweep incomplete.
+    nothing: the tail up to the target is counted as reached without being
+    run.  A blank-only level, running out of budget or a level target below
+    4N-4 leaves the sweep incomplete.
     """
     budget = config.make_budget()
     k_target = resolved_max_k(config, phi.rank)
@@ -341,7 +352,6 @@ def find_all(phi, config):
     schedule = _blank_schedule(phi)
     last = max((k for levels in schedule.values() for k in levels), default=0)
     full_levels = []
-    partial_levels = []
     early_exited = False
     staged = None
     inv_bounds = [1] * phi.rank
@@ -356,18 +366,15 @@ def find_all(phi, config):
         if floor > limit and k > last:
             # Every level from here on is blank-only and leaves the registry
             # as it is, so early exit cannot fire either.
-            partial_levels.extend(range(k, k_target + 1))
             k = k_target
             break
         _eps_level(phi, k, registry, schedule)
-        if floor + stream > limit:
-            partial_levels.append(k)
-        else:
+        if floor + stream <= limit:
             try:
                 _full_level(phi, k, registry, budget)
                 full_levels.append(k)
             except BudgetExceeded:
-                partial_levels.append(k)
+                pass
         if config.early_exit:
             staged = _staged(phi, registry)
             if staged[-1] >= ceiling:
@@ -377,17 +384,15 @@ def find_all(phi, config):
     final, max_rho, graph, comps, doubled = staged or _staged(phi, registry)
     # The doubled index is capped by 2(N-1), and adding points or classes to a
     # maximal collection can only violate that cap, so a sweep that attains it
-    # has nothing left to find.
-    complete = doubled >= ceiling or (
-        not partial_levels and k_target >= 4 * phi.rank - 4
-    )
+    # has nothing left to find.  A sweep that stopped early below its target
+    # did so at the ceiling, so the second clause needs no k_reached.
+    complete = doubled >= ceiling or len(full_levels) == k_target >= 4 * phi.rank - 4
     return SweepResult(
         singularities=final,
         complete=complete,
         k_target=k_target,
         k_reached=k,
         full_levels=full_levels,
-        partial_levels=partial_levels,
         early_exited=early_exited,
         max_rho_power=max_rho,
         budget_used=config.budget - budget.remaining,

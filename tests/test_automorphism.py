@@ -275,7 +275,7 @@ def test_cycle_letters_rank14(rank14):
 def test_ray_head_extends_iterated_images(phi):
     first = phi.cycle_letters("first")
     for b, cycle in sorted(first.items()):
-        ray = phi.ray_head(b, cycle, 12)
+        ray = phi.ray(b, 12, True)
         assert len(ray) >= 12
         grown = oracles.apply_power(phi, (b,), cycle)
         while len(grown) < 12:
@@ -286,7 +286,7 @@ def test_ray_head_extends_iterated_images(phi):
 def test_ray_tail_extends_iterated_images(phi):
     last = phi.cycle_letters("last")
     for c, cycle in sorted(last.items()):
-        ray = phi.ray_tail(c, cycle, 12)
+        ray = phi.ray(c, 12, False)
         assert len(ray) >= 12
         grown = oracles.apply_power(phi, (c,), cycle)
         while len(grown) < 12:

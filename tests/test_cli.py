@@ -16,7 +16,6 @@ from fgindex.cli import (
     EXIT_OK,
     EXIT_TRUNCATED,
     _level_ranges,
-    _level_runs,
     analyze,
     index_fraction,
     main,
@@ -112,10 +111,9 @@ def test_index_truncated_run(capsys):
 
 def test_level_ranges_collapse_consecutive_runs():
     assert _level_ranges([]) == ""
-    assert _level_ranges([7]) == "7"
-    assert _level_ranges([2, 5, 6, 7, 9, 10]) == "2, 5-7, 9-10"
-    assert _level_ranges(range(5, 1201)) == "5-1200"
-    assert _level_runs([2, 5, 6, 7, 9, 10]) == [[2, 2], [5, 7], [9, 10]]
+    assert _level_ranges([[7, 7]]) == "7"
+    assert _level_ranges([[2, 2], [5, 7], [9, 10]]) == "2, 5-7, 9-10"
+    assert _level_ranges([[5, 1200]]) == "5-1200"
 
 
 def test_index_rejects_bad_budget(capsys):

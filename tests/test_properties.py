@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgindex import sgraph
+from fgindex import sgraph, singularities
 from fgindex.cli import analyze, report_dict
 from fgindex.config import RunConfig
 from fgindex.errors import UndefinedShift
@@ -333,6 +333,38 @@ def test_certified_run_survives_a_larger_budget(phi):
     assert high["complete"]
     for field in CERTIFIED_FIELDS:
         assert high[field] == low[field], field
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(positive_automorphisms(), st.data())
+def test_full_and_partial_levels_split_the_levels_reached(phi, data):
+    top = 3 * (4 * phi.rank - 4)
+    config = RunConfig(
+        max_k=data.draw(st.integers(1, top) | st.just(10**4), label="max_k"),
+        early_exit=data.draw(st.booleans(), label="early_exit"),
+        budget=data.draw(st.sampled_from([10**4, 10**5, 10**6]), label="budget"),
+    )
+    ran = []
+    real_full_level = singularities._full_level
+
+    def full_level(phi, k, registry, budget):
+        real_full_level(phi, k, registry, budget)
+        ran.append(k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(singularities, "_full_level", full_level)
+        result = find_all(phi, config)
+    assert result.full_levels == ran
+    full, partial = set(result.full_levels), set(result.partial_levels)
+    assert not full & partial
+    assert full | partial == set(range(1, result.k_reached + 1))
+    runs = []
+    for k in result.partial_levels:
+        if runs and runs[-1][1] == k - 1:
+            runs[-1][1] = k
+        else:
+            runs.append([k, k])
+    assert result.partial_runs() == runs
 
 
 def _shape(result):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from fgindex.prefix_suffix import loops, periodic_point, point_fixed_by
 from fgindex.singularities import (
     Label,
     Singularity,
+    SweepResult,
     _blank_schedule,
     _check_disjoint,
     _from_match_groups,
@@ -882,6 +884,35 @@ def test_sweep_cost_does_not_grow_with_max_k(name, monkeypatch):
     assert (long["sweep"].pop("k_target"), long["sweep"].pop("k_reached")) == (10**6,) * 2
     assert (short["sweep"].pop("k_target"), short["sweep"].pop("k_reached")) == (600,) * 2
     assert long == short
+
+
+def test_report_memory_does_not_grow_with_max_k():
+    # A sweep holds its full levels and the level it reached, nothing per
+    # partial level, so a million-level target peaks as level 600 does.
+    peaks = []
+    for max_k in (600, 10**6):
+        phi = load_automorphism(aut_path("rank14_cyclic"))
+        tracemalloc.start()
+        try:
+            report_dict(analyze(phi, RunConfig(max_k=max_k)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20
+
+
+def test_partial_runs_are_the_gaps_between_full_levels():
+    def sweep(full_levels, k_reached):
+        fields = dict.fromkeys(SweepResult._fields)
+        fields.update(full_levels=full_levels, k_reached=k_reached)
+        return SweepResult(**fields)
+
+    gappy = sweep([1, 3, 4, 8], 10)
+    assert gappy.partial_runs() == [[2, 2], [5, 7], [9, 10]]
+    assert gappy.partial_levels == [2, 5, 6, 7, 9, 10]
+    assert sweep([1, 2, 3], 3).partial_runs() == []
+    assert sweep([], 10**9).partial_runs() == [[1, 10**9]]
+    assert sweep([1, 2], 10**9).partial_runs() == [[3, 10**9]]
 
 
 @pytest.mark.parametrize(
