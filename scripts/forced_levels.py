@@ -12,7 +12,10 @@ charged (all of them, and gamma_bound's alone), the doubled index of the
 classes found so far, the peak RSS of the process so far, and the number of
 windows the peel search checked (one _peelable call each): one per stream
 visited for the horizon, plus the further search of each stream that raises
-it, plus the searches of matched streams for their cutoff boxes.
+it, plus the searches of matched streams for their cutoff boxes.  The last
+two columns count the level's distinct nonblank affixes, minus and plus
+sides together, and how many of them the class step kept for the join
+(what all_matches was given).
 
     python scripts/forced_levels.py rank6_cyclic 9
     python scripts/forced_levels.py path/to/map.aut 5
@@ -26,7 +29,9 @@ from pathlib import Path
 
 from fgindex import gamma
 from fgindex.automorphism import load_automorphism
+from fgindex import singularities
 from fgindex.config import Budget
+from fgindex.prefix_suffix import loops
 from fgindex.singularities import _blank_schedule, _eps_level, _full_level, _staged
 
 AUT_DIR = Path(__file__).resolve().parents[1] / "automorphisms"
@@ -40,6 +45,8 @@ HEADER = (
     "doubled",
     "peak_rss_mib",
     "peel_checks",
+    "affixes",
+    "kept",
 )
 
 
@@ -64,6 +71,18 @@ class _Timed:
             self.letters += self.budget.used - used
 
 
+def _affix_count(phi, k):
+    """Level k's distinct nonblank affixes over both sides, each compared in
+    place as a view of the level's encoded images, none copied."""
+    level = gamma.encoded_level(phi, k)
+    width, minus, plus = level.width, set(), set()
+    for t in loops(phi, k):
+        block = memoryview(level.blocks[t.parent - 1])
+        minus.add(block[:t.pos * width])
+        plus.add(block[(t.pos + 1) * width:])
+    return len(minus - {b""}) + len(plus - {b""})
+
+
 def _peak_rss_mib():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
@@ -75,7 +94,14 @@ def forced_levels(phi, top):
     bound = _Timed(gamma.gamma_bound, budget)
     star = _Timed(gamma.star_index, budget)
     peel = _Timed(gamma._peelable, budget)
+    kept = []
+
+    def join(phi, k, side, starts, budget):
+        kept.append(len(starts))
+        return gamma.all_matches(phi, k, side, starts, budget)
+
     gamma.gamma_bound, gamma.star_index, gamma._peelable = bound, star, peel
+    singularities.all_matches = join
     try:
         for k in range(1, top + 1):
             before = bound.seconds, star.seconds, bound.letters, peel.calls
@@ -84,6 +110,8 @@ def forced_levels(phi, top):
             _full_level(phi, k, registry, budget)
             wall = time.perf_counter() - t0
             doubled = _staged(phi, registry)[-1]
+            joined = sum(kept)
+            kept.clear()
             yield (
                 k,
                 f"{wall:.3f}",
@@ -94,10 +122,13 @@ def forced_levels(phi, top):
                 doubled,
                 f"{_peak_rss_mib():.1f}",
                 peel.calls - before[3],
+                _affix_count(phi, k),
+                joined,
             )
     finally:
         gamma.gamma_bound, gamma.star_index = bound.inner, star.inner
         gamma._peelable = peel.inner
+        singularities.all_matches = gamma.all_matches
 
 
 def main(argv=None):

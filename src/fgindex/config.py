@@ -9,7 +9,10 @@ A stream charges each growth in one sum, once the blocks are appended.
 
 The images phi^j(a) and inverse blocks phi^-j(c) cached on the map are
 charged once per budget and level (Budget.charge_levels), whoever built them,
-so a run's charges do not depend on what ran before on the map.
+so a run's charges do not depend on what ran before on the map.  A full
+level's class step (singularities._affix_classes) builds no word and charges
+nothing; the affixes it drops grow no stream, and a side it leaves with fewer
+than two affixes runs no gamma_bound, so neither is charged.
 """
 
 from __future__ import annotations

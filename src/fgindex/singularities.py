@@ -10,7 +10,7 @@ power.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .config import resolved_max_k
 from .errors import (
@@ -220,7 +220,9 @@ def _level_estimate(phi, k, inv_bounds):
     are non-decreasing by induction, since no inverse image is empty.
     stream, the loop term, can fall: the trace of M^k need not be monotone.
     floor's block term is the gate's cost proxy, not what gamma_bound
-    charges the budget; it stays until the gate itself is replaced.
+    charges the budget; it stays until the gate itself is replaced.  So
+    does stream, which prices every loop although the class step
+    (_affix_classes) joins only the affixes whose class another shares.
     """
     lens = phi.image_lengths(k)
     occ = phi.occurrence_matrix(k)
@@ -265,12 +267,76 @@ def _eps_level(phi, k, registry, schedule):
             merge(phi, registry, Singularity(Label(EPSILON, k), pts))
 
 
+def _affix_classes(phi, k, prefixes):
+    """The class of each prefix's letter counts modulo (M^k - I)Z^N, as one
+    int, or None when the step cannot tell classes apart.  prefixes holds
+    (word, end) pairs, a word's ends rising and some end positive, and M^k
+    is the occurrence matrix: column b counts the letters of phi^k(b).
+
+    A rotation w -> w[1:] phi^k(w[0]) adds column w[0] of A = M^k - I to
+    the letter counts v of the word, so a stream keeps the class of v
+    modulo AZ^N at every rotation, and affixes of different classes never
+    share a rotation value.  Fraction-free Gauss-Jordan elimination of
+    [A | I] ends at [d I | B], with B = d A^-1 = +-adj A and m = |d| =
+    |det A|.  As BA = dI, Bv = Bv' mod m exactly when v - v' lies in AZ^N,
+    so the distinct nonzero rows of B mod m, packed, key the class in full.
+    A loop phi^k(a) = p a s is keyed by v(p): its suffix has v(s) = Ae_a -
+    v(p), the negated class, and negation keeps classes apart, so one key
+    serves both sides.  None when m <= 1: A is singular, or there is one
+    class.
+
+    Joining only the affixes whose class another one shares finds every
+    match: a subset holding both affixes of a pair has a horizon at least
+    as long as their star windows, and the pair's cutoff box is read off
+    its own stars, so all_matches walks back to the same least equal
+    windows.
+    """
+    n = phi.rank
+    occ = phi.occurrence_matrix(k)
+    rows = [
+        [occ[i][j] - (i == j) for j in range(n)] + [int(i == j) for j in range(n)]
+        for i in range(n)
+    ]
+    d = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        top, prev = rows[c], d
+        d = top[c]
+        for r in range(n):
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [(d * x - f * y) // prev for x, y in zip(rows[r], top)]
+    m = abs(d)
+    if m <= 1:
+        return None
+    forms = dict.fromkeys(tuple(x % m for x in r[n:]) for r in rows)
+    forms = [f for f in forms if any(f)]
+    # A field sums at most the longest prefix's letters, each below m.
+    bits = ((m - 1) * max(end for _, end in prefixes)).bit_length()
+    mask = (1 << bits) - 1
+    shifts = range(0, bits * len(forms), bits)
+    columns = [0] + [sum(f[x] << s for f, s in zip(forms, shifts)) for x in range(n)]
+    keys, word, total, done = [], None, 0, 0
+    for w, end in prefixes:
+        if w is not word or end < done:
+            word, total, done = w, 0, 0
+        total += sum(map(columns.__getitem__, w[done:end]))
+        done, key = end, 0
+        for s in shifts:
+            key = key * m + (total >> s & mask) % m
+        keys.append(key)
+    return keys
+
+
 def _full_level(phi, k, registry, budget):
     """Run level k's nonblank affixes in full: list its loops phi^k(a) =
     p a s, and on each side group them by affix (p on the minus side, s on
     the plus side), leaving blank affixes to _eps_level.  A group of two or
     more equal affixes is one class at rotation 0, and all_matches joins the
-    groups' streams for the rest.
+    streams of the groups whose class (_affix_classes) another group shares.
 
     Each affix is grouped and sorted as its slice of level k's encoded
     images (gamma.encoded_level): bytes cache their hash and compare by
@@ -281,6 +347,18 @@ def _full_level(phi, k, registry, budget):
     level = encoded_level(phi, k, budget)
     level_loops = loops(phi, k)
     blocks, width = level.blocks, level.width
+    # The elimination takes about N^3 steps: with no more loops than
+    # letters, it would cost more than the at most N streams it could drop.
+    classes = None
+    if len(level_loops) > phi.rank:
+        classes = _affix_classes(phi, k, [(t.image, t.pos) for t in level_loops])
+    if classes is not None:
+        # Equal affixes share a class, so a loop alone in its class has no
+        # equal affix and no affix to match, on either side: slice none.
+        shared = Counter(classes)
+        kept = [i for i, c in enumerate(classes) if shared[c] > 1]
+        level_loops = [level_loops[i] for i in kept]
+        classes = [classes[i] for i in kept]
     for side in ("minus", "plus"):
         if side == "minus":
             keys = [blocks[t.parent - 1][:t.pos * width] for t in level_loops]
@@ -297,6 +375,10 @@ def _full_level(phi, k, registry, budget):
                 w = grp[0].p if side == "minus" else invert(grp[0].s)
                 sing = _from_match_groups(phi, k, side, grp[:1], grp[1:], (0, 0, w))
                 merge(phi, registry, sing, budget)
+        if classes is not None:
+            cls = dict(zip(keys, classes))
+            shared = Counter(cls[a] for a in affixes)
+            affixes = [a for a in affixes if shared[cls[a]] > 1]
         found = all_matches(
             phi, k, side, [(groups[a][0].a, len(a) // width) for a in affixes], budget
         )

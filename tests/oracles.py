@@ -9,6 +9,7 @@ import math
 import weakref
 import zlib
 from collections import deque
+from fractions import Fraction
 
 from fgindex import gamma, singularities
 from fgindex.errors import InvariantViolation, NotPrimitive
@@ -20,6 +21,7 @@ from fgindex.prefix_suffix import (
     apply_phi_power_key,
     canonicalize,
     check_chain,
+    loops,
     periodic_point,
     shift_dev,
     shift_key,
@@ -780,6 +782,84 @@ def _bool_row_mul(row_mask, base, n):
         if row_mask >> c & 1:
             out |= base[c]
     return out
+
+
+def full_level_every_affix(phi, k, registry, budget):
+    """singularities._full_level with no class step: every distinct nonblank
+    affix of a side goes to all_matches."""
+    level_loops = loops(phi, k)
+    for side in ("minus", "plus"):
+        groups = {}
+        for t in level_loops:
+            groups.setdefault(t.p if side == "minus" else t.s, []).append(t)
+        groups.pop(EPSILON, None)
+        affixes = sorted(groups)
+        for affix in affixes:
+            grp = groups[affix]
+            if len(grp) >= 2:
+                w = grp[0].p if side == "minus" else invert(grp[0].s)
+                singularities.merge(
+                    phi, registry,
+                    singularities._from_match_groups(
+                        phi, k, side, grp[:1], grp[1:], (0, 0, w)
+                    ),
+                    budget,
+                )
+        found = gamma.all_matches(
+            phi, k, side, [(groups[a][0].a, len(a)) for a in affixes], budget
+        )
+        for (xi, yi), m in sorted(found.items()):
+            singularities.merge(
+                phi, registry,
+                singularities._from_match_groups(
+                    phi, k, side, groups[affixes[xi]], groups[affixes[yi]], m
+                ),
+                budget,
+            )
+
+
+def det_and_adjugate(matrix):
+    """(det, adj) of a square integer matrix, by Gauss-Jordan elimination
+    over the rationals; adj is None when det is 0."""
+    n = len(matrix)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return 0, None
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return int(det), [[int(det * x) for x in row[n:]] for row in rows]
+
+
+def count_classes(phi, k, words):
+    """(m, classes): m = |det A| for A = M^k - I, and adj(A) v mod m for v
+    the letter counts of each positive word, as tuples, which are equal
+    exactly when two count vectors differ by an element of AZ^N.  None when
+    det A is 0."""
+    occ = phi.occurrence_matrix(k)
+    n = phi.rank
+    det, adj = det_and_adjugate(
+        [[occ[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    )
+    if not det:
+        return None
+    out = []
+    for word in words:
+        v = [word.count(a) for a in range(1, n + 1)]
+        out.append(tuple(sum(x * y for x, y in zip(row, v)) % abs(det) for row in adj))
+    return abs(det), out
 
 
 # -- the level gate's tables, recomputed the slow way ---------------------------

@@ -297,9 +297,9 @@ def test_stream_growth_charges_what_it_appends_in_one_call():
 
 
 def test_budget_running_out_in_stream_growth_leaves_the_level_partial(monkeypatch):
-    # With every level priced at nothing, cyclic_family(5) runs levels 1-11
+    # With every level priced at nothing, cyclic_family(5) runs levels 1-12
     # in full at budget 10^4 and runs out while growing a stream at level
-    # 12.  Growth charges after it appends; the exception must still leave
+    # 13.  Growth charges after it appends; the exception must still leave
     # all_matches, and the level and every later one must be partial.
     raised = []
 
@@ -320,8 +320,8 @@ def test_budget_running_out_in_stream_growth_leaves_the_level_partial(monkeypatc
     monkeypatch.setattr(singularities, "_level_estimate", lambda *args: (0, 0))
     result = singularities.find_all(cyclic_family(5), RunConfig(budget=10**4))
     assert raised[:2] == ["grow", "all_matches"]
-    assert result.full_levels == list(range(1, 12))
-    assert result.partial_levels == list(range(12, 17))
+    assert result.full_levels == list(range(1, 13))
+    assert result.partial_levels == list(range(13, 17))
     assert result.budget_used == 10**4
 
 

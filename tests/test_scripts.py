@@ -58,6 +58,8 @@ def test_forced_levels_prints_a_row_per_level():
         "doubled",
         "peak_rss_mib",
         "peel_checks",
+        "affixes",
+        "kept",
     ]
     assert [row[0] for row in rows] == ["1", "2", "3"]
     assert all(len(row) == len(header) for row in rows)
@@ -69,8 +71,8 @@ def _assert_forced_levels_charge_the_frozen_letters(name, top):
     out = run_script("forced_levels.py", name, str(top))
     assert out.returncode == 0, out.stderr
     got = [line.split("\t") for line in out.stdout.splitlines()]
-    # level, letters, gamma_letters, doubled, peel_checks
-    columns = [0, 4, 5, 6, 8]
+    # level, letters, gamma_letters, doubled, peel_checks, affixes, kept
+    columns = [0, 4, 5, 6, 8, 9, 10]
     frozen = (ROOT / "tests" / "data" / f"forced_levels_{name}.tsv").read_text(
         "utf-8"
     )
@@ -91,9 +93,9 @@ def test_forced_rank14_cyclic_levels_charge_the_frozen_letters():
 
 
 def test_forced_rank4_levels_charge_the_frozen_letters():
-    # rank4's level 5 joins 3297 streams over its two sides, the widest join
-    # of the frozen tables.  Its table has five rows, and this checks them
-    # all.
+    # rank4's level 5 has 3297 distinct affixes over its two sides, the most
+    # of the frozen tables, of which the class step joins 247.  Its table
+    # has five rows, and this checks them all.
     _assert_forced_levels_charge_the_frozen_letters("rank4", 5)
 
 
@@ -118,6 +120,20 @@ def test_report_digests_do_not_depend_on_hash_order():
     assert runs[1].stdout == runs[0].stdout
     frozen = (ROOT / "tests" / "data" / "report_digests.txt").read_text("utf-8")
     assert runs[0].stdout == frozen
+
+
+def test_drawn_maps_find_no_less_with_the_class_step():
+    # At budget 10^4 the class step's saved letters let three draws run
+    # level 3 in full; draw 33 gains a class there.  Every other draw's
+    # result is the reference's, and none falls.
+    out = run_script("drawn_maps.py", "10000", "--no-fall")
+    assert out.returncode == 0, out.stderr
+    *draws, summary = out.stdout.splitlines()
+    assert [line.split(":")[0] for line in draws] == ["draw 33", "draw 147", "draw 288"]
+    assert summary == (
+        "budget 10000: 297 of 300 identical, 0 failed;"
+        " letters charged 191334 -> 90723"
+    )
 
 
 def _load_tracer():

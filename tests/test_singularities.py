@@ -1,6 +1,8 @@
 import json
 import math
+import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,16 @@ from fgindex.cli import analyze, report_dict
 from fgindex.config import DEFAULT_BUDGET, MIN_BUDGET, Budget, RunConfig
 from fgindex.errors import InvariantViolation
 from fgindex.families import cyclic_family
-from fgindex.gamma import all_matches
+from fgindex.gamma import Stream, _block_table, all_matches
 from fgindex.prefix_suffix import loops, periodic_point, point_fixed_by
 from fgindex.singularities import (
     Label,
     Singularity,
     SweepResult,
     _blank_schedule,
+    _affix_classes,
     _check_disjoint,
+    _eps_level,
     _from_match_groups,
     _full_level,
     _inverse_length_bounds,
@@ -605,8 +609,8 @@ def test_gate_tables_requested_out_of_order():
 @pytest.mark.parametrize(
     "name, full_levels, budget_used, doubled",
     [
-        ("rank14_cyclic", [1, 2, 3], 9188, 15),
-        ("rank6_cyclic", [1, 2, 3, 4], 4265, 9),
+        ("rank14_cyclic", [1, 2, 3], 998, 15),
+        ("rank6_cyclic", [1, 2, 3, 4], 3053, 9),
     ],
     ids=["rank14_cyclic", "rank6_cyclic"],
 )
@@ -918,9 +922,9 @@ def test_partial_runs_are_the_gaps_between_full_levels():
 @pytest.mark.parametrize(
     "source, config, top, budget_used, doubled",
     [
-        ("rank14_cyclic", RunConfig(max_k=5, budget=10**12), 5, 1065310, 8),
-        ("rank6_cyclic", RunConfig(max_k=7, budget=10**12), 7, 177143, 9),
-        (9, RunConfig(), 24, 315718, 16),
+        ("rank14_cyclic", RunConfig(max_k=5, budget=10**12), 5, 464821, 8),
+        ("rank6_cyclic", RunConfig(max_k=7, budget=10**12), 7, 33355, 9),
+        (9, RunConfig(), 24, 56059, 16),
     ],
     ids=["rank14_cyclic-k5", "rank6_cyclic-k7", "family9"],
 )
@@ -949,3 +953,122 @@ def test_occurrence_cache_keeps_two_levels():
     assert sorted(phi._occ_cache) == [1, 9]
     assert phi.occurrence_matrix(5) == occs[4]
     assert sorted(phi._occ_cache) == [1, 9]
+
+
+# -- the class step --------------------------------------------------------------
+
+
+def _kept(keys):
+    """How many keys another entry shares: the affixes the class step keeps."""
+    shared = Counter(keys)
+    return sum(shared[key] > 1 for key in keys)
+
+
+def _partition(keys):
+    """The index sets of equal keys."""
+    blocks = {}
+    for i, key in enumerate(keys):
+        blocks.setdefault(key, []).append(i)
+    return sorted(blocks.values())
+
+
+def _assert_classes_hold_along_streams(phi, top, steps=5):
+    # A rotation adds a column of A = M^k - I to a window's letter counts,
+    # so every window of a stream has its affix's key; a count vector that
+    # is a column of A, plus m times a unit vector, is in class 0; and the
+    # keys split words as the rational adjugate does.
+    budget = Budget(10**12)
+    for k in range(1, top + 1):
+        level_loops = loops(phi, k)
+        images = [phi.letter_image(x, k) for x in phi.alphabet.letters()]
+        keys = _affix_classes(phi, k, [(w, len(w)) for w in images])
+        want = oracles.count_classes(phi, k, images)
+        if keys is None:
+            assert want is None or want[0] == 1
+            continue
+        m, classes = want
+        assert _partition(keys) == _partition(classes)
+        columns = [image + (x,) * (m - 1) for x, image in enumerate(images, 1)]
+        assert _affix_classes(phi, k, [(w, len(w)) for w in columns]) == [0] * phi.rank
+        for side in ("minus", "plus"):
+            table = _block_table(phi, k, side)
+            affixes = {t.p if side == "minus" else t.s: t.a for t in level_loops}
+            affixes.pop(EPSILON, None)
+            for affix, a in sorted(affixes.items())[:8]:
+                s = Stream(table, a, len(affix), budget)
+                s.ensure_steps(steps)
+                windows = [s.word_at(i) for i in range(steps + 1)]
+                got = _affix_classes(phi, k, [(w, len(w)) for w in windows])
+                assert len(set(got)) == 1, (k, side, affix)
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [("rank3", 4), ("rank4", 3), ("fibonacci", 5), ("rank6_cyclic", 6),
+     ("rank14_cyclic", 4)],
+)
+def test_classes_hold_along_streams_on_bundled_maps(name, top):
+    _assert_classes_hold_along_streams(load_automorphism(aut_path(name)), top)
+
+
+@settings(max_examples=20, deadline=None)
+@given(positive_automorphisms())
+def test_classes_hold_along_streams_on_drawn_automorphisms(phi):
+    _assert_classes_hold_along_streams(phi, 3)
+
+
+def _assert_class_step_keeps_every_match(phi, top):
+    # Joining only the affixes whose class another one shares merges what
+    # joining them all merges, level by level.
+    schedule = _blank_schedule(phi)
+    runs = []
+    for full_level in (_full_level, oracles.full_level_every_affix):
+        registry, budget, views = [], Budget(10**12), []
+        for k in range(1, top + 1):
+            _eps_level(phi, k, registry, schedule)
+            full_level(phi, k, registry, budget)
+            views.append([(s.label, set(s.points)) for s in registry])
+        runs.append(views)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [("rank3", 5), ("rank4", 4), ("fibonacci", 6), ("rank6_cyclic", 9),
+     ("rank14_cyclic", 5)],
+)
+def test_class_step_keeps_every_match_on_bundled_maps(name, top):
+    _assert_class_step_keeps_every_match(load_automorphism(aut_path(name)), top)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_class_step_keeps_every_match_on_the_family(n):
+    _assert_class_step_keeps_every_match(cyclic_family(n), 2 * n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(positive_automorphisms())
+def test_class_step_keeps_every_match_on_drawn_automorphisms(phi):
+    _assert_class_step_keeps_every_match(phi, 4)
+
+
+def test_class_step_keys_a_non_cyclic_class_group():
+    # rank14_cyclic's level 5 has 311 distinct nonblank prefixes, and the
+    # class step keeps the 140 whose class another one shares.  Keys built
+    # from one or two random combinations of the adjugate's rows would keep
+    # all 311 or 290, so a key that drops components fails here.
+    phi = load_automorphism(aut_path("rank14_cyclic"))
+    k = 5
+    affixes = sorted({t.p for t in loops(phi, k)} - {EPSILON})
+    keys = _affix_classes(phi, k, [(p, len(p)) for p in affixes])
+    assert (len(affixes), _kept(keys)) == (311, 140)
+    m, full = oracles.count_classes(phi, k, affixes)
+    assert _partition(keys) == _partition(full)
+    rng = random.Random(1)
+    for count, kept in ((1, 311), (2, 290)):
+        forms = [[rng.randrange(m) for _ in range(phi.rank)] for _ in range(count)]
+        coarse = [
+            tuple(sum(f * x for f, x in zip(form, c)) % m for form in forms)
+            for c in full
+        ]
+        assert _kept(coarse) == kept, count
